@@ -162,7 +162,13 @@ let run_seed ~seed ~traced =
   let stats = [ Sched_fuzz.stats fz_client; Sched_fuzz.stats fz_server ] in
   Sched_fuzz.detach fz_client;
   Sched_fuzz.detach fz_server;
-  (violations, stats, tr)
+  (* Detaching uninstalls the fuzzer's own strand trackers: audit once
+     more so a removal that left a stale dispatch plan shows up. *)
+  let detached = ref [] in
+  let note msg = detached := ("after detach: " ^ msg) :: !detached in
+  Spin_core.Dispatcher.audit client.Host.dispatcher note;
+  Spin_core.Dispatcher.audit server.Host.dispatcher note;
+  (violations @ List.rev !detached, stats, tr)
 
 let write_artifacts ~seed violations =
   (try Sys.mkdir artifact_dir 0o755 with Sys_error _ -> ());

@@ -116,8 +116,9 @@ let parse_file path =
    they grow past the ceiling. The engine experiment instead gates
    deterministic counted proxies — events processed, events fired,
    fuzz decisions — which fail when they DROP below the floor (work
-   silently skipped), plus minor-heap words per event, which fails
-   upward like a latency (allocation crept back into the hot path).
+   silently skipped), plus minor-heap words per storm event and per
+   HTTP request, which fail upward like a latency (allocation crept
+   back into the hot path).
    Wall-clock rates (events/sec and friends) are recorded for
    trending but never gated: CI hosts are too noisy to fail on. *)
 type direction = Ceiling | Floor
@@ -134,7 +135,8 @@ let gated m =
   else if m.experiment = "swap" && has_sub "pause p" then Some Ceiling
   else if m.experiment = "engine" then
     match m.name with
-    | "storm wheel minor words/event" -> Some Ceiling
+    | "storm wheel minor words/event" | "http minor words/request" ->
+      Some Ceiling
     | "storm events processed" | "http events fired" | "fuzz decisions" ->
       Some Floor
     | _ -> None

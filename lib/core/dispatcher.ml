@@ -130,6 +130,9 @@ type ('a, 'r) handler = {
   mutable trusted : ('a -> bool) option;
   mutable active : bool;
   mutable revive : unit -> unit;
+  (* Recomputes the owning event's dispatch plan; set at install so
+     [add_guard], which sees only the handler, can keep it current. *)
+  mutable replan : unit -> unit;
 }
 
 type stats = {
@@ -154,6 +157,18 @@ type 'a decision =
 
 let allow = Allow { guard = None; bound_cycles = None; force_async = false }
 
+(* The dispatch decision, made whenever the handler set changes rather
+   than on every raise. A sole verified handler with nothing indexed
+   is a compiled predicate and a trusted call; a sole unguarded,
+   unbounded synchronous handler is a protected procedure call (the
+   paper's "collapses to a direct procedure call"); anything else
+   walks the general path over an immutable snapshot of the linear
+   handlers. *)
+type ('a, 'r) plan =
+  | Trusted_sole of ('a, 'r) handler * ('a -> bool)
+  | Fast_sole of ('a, 'r) handler
+  | General of ('a, 'r) handler array
+
 type ('a, 'r) event = {
   e_name : string;
   e_owner : string;
@@ -168,10 +183,19 @@ type ('a, 'r) event = {
   default_handler : ('a, 'r) handler;
   mutable primary_active : bool;
   mutable extra : ('a, 'r) handler list;  (* installation order *)
+  (* Current dispatch plan. Every site that changes an input of
+     [compute_plan] calls [replan]; the audit recomputes and compares.
+     A raise reads the plan once, so a mutation mid-dispatch installs
+     a fresh plan without disturbing the iteration in progress. *)
+  mutable plan : ('a, 'r) plan;
+  (* The last one-element result list handed to [combine]; reused
+     while a sole handler keeps returning the same value (every unit
+     event does), so a sole-handler raise allocates nothing. *)
+  mutable single : 'r list;
   (* Active handlers across all index buckets. Buckets deliberately
      retain inactive handlers (dispatch filters on [active], reviving
      is a flag flip), so [Hashtbl.length indexed] counts buckets ever
-     used, not live handlers — the fast-path guard must not use it. *)
+     used, not live handlers — the dispatch plan must not use it. *)
   mutable n_indexed_active : int;
   (* Dispatches currently iterating this event's handler list; the
      invariant audit requires 0 at quiescence. *)
@@ -220,20 +244,44 @@ let flush_deferred t =
   while not (Queue.is_empty t.deferred) do (Queue.pop t.deferred) () done;
   n
 
-let last_result name results =
-  match List.rev results with
-  | r :: _ -> r
+let rec last_result name = function
+  | [ r ] -> r
+  | _ :: rest -> last_result name rest
   | [] -> raise (No_handler name)
 
 (* Every site that retires a handler funnels through here so the
-   active-indexed count stays exact: the fast-path guard depends on
-   it (one stale increment would disable the fast path forever, one
-   stale decrement would skip live indexed handlers). *)
+   active-indexed count stays exact: the dispatch plan depends on it
+   (one stale increment would disable the fast path forever, one stale
+   decrement would skip live indexed handlers). Callers replan once
+   they have also unlinked the handler. *)
 let deactivate e h =
   if h.active then begin
     h.active <- false;
     if h.h_indexed then e.n_indexed_active <- e.n_indexed_active - 1
   end
+
+let active_handlers e =
+  if e.primary_active then e.default_handler :: e.extra else e.extra
+
+let compute_plan e =
+  match active_handlers e with
+  | [ { trusted = Some pred; async = false; _ } as h ]
+    when e.n_indexed_active = 0 ->
+    Trusted_sole (h, pred)
+  | [ { trusted = None; guards = []; bound = None; async = false; _ } as h ]
+    when e.n_indexed_active = 0 ->
+    Fast_sole h
+  | linear -> General (Array.of_list linear)
+
+let replan e = e.plan <- compute_plan e
+
+let same_plan a b =
+  match a, b with
+  | Trusted_sole (h, p), Trusted_sole (h', p') -> h == h' && p == p'
+  | Fast_sole h, Fast_sole h' -> h == h'
+  | General hs, General hs' ->
+    Array.length hs = Array.length hs' && Array.for_all2 ( == ) hs hs'
+  | (Trusted_sole _ | Fast_sole _ | General _), _ -> false
 
 let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
     ?allow_remove_primary default =
@@ -246,12 +294,13 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
   let default_handler =
     { h_id = fresh_handler_id t; installer = owner; fn = default; guards = [];
       bound = None; async = false; policy = Uninstall; h_indexed = false;
-      trusted = None; active = true; revive = (fun () -> ()) } in
+      trusted = None; active = true; revive = ignore; replan = ignore } in
   let e =
     { e_name = name; e_owner = owner; e_ty = ty; e_layout = layout;
       disp = t; combine; auth;
       index; indexed = Hashtbl.create 8;
       allow_remove; default_handler; primary_active = true; extra = [];
+      plan = Fast_sole default_handler; single = [];
       n_indexed_active = 0; in_flight = 0;
       gated = false; s_gated_waits = 0;
       s_raises = 0; s_fast = 0; s_invocations = 0;
@@ -296,10 +345,11 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
             end)
           !b)
       e.indexed;
+    replan e;
     !removed in
   (* Structural-coherence audit, type-erased so the checkers can sweep
      every event: stale inactive handlers in the linear list, a drifted
-     active-indexed count (the fast-path guard feeds on it), or a
+     active-indexed count (the dispatch plan feeds on it), or a
      dispatch recorded as still in flight all indicate handler-list
      mutation went around the safe paths. *)
   let reg_audit report =
@@ -324,6 +374,12 @@ let declare t ~name ~owner ?ty ?layout ?combine ?auth ?index
       report
         (Printf.sprintf "%s: %d raise(s) still marked in flight at audit"
            name e.in_flight);
+    (* A mutation that skipped [replan] leaves raises dispatching on a
+       stale decision. *)
+    if not (same_plan e.plan (compute_plan e)) then
+      report
+        (Printf.sprintf "%s: cached dispatch plan disagrees with a recompute"
+           name);
     (* A trusted handler's whole point is zero per-event checks: if one
        carries a guard stack or a runtime bound, some path installed or
        mutated it around the demotion logic. *)
@@ -424,7 +480,8 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
              async = s.Handler_spec.async || force_async;
              policy = s.Handler_spec.on_failure;
              h_indexed = s.Handler_spec.index_key <> None;
-             trusted; active = true; revive = (fun () -> ()) } in
+             trusted; active = true; revive = ignore;
+             replan = (fun () -> replan e) } in
          (match s.Handler_spec.index_key with
           | Some key ->
             (* The bucket keeps inactive handlers (dispatch filters on
@@ -432,7 +489,8 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
             h.revive <- (fun () ->
               if not h.active then begin
                 h.active <- true;
-                e.n_indexed_active <- e.n_indexed_active + 1
+                e.n_indexed_active <- e.n_indexed_active + 1;
+                replan e
               end);
             let bucket =
               match Hashtbl.find_opt e.indexed key with
@@ -444,9 +502,11 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
             h.revive <- (fun () ->
               if not h.active then begin
                 h.active <- true;
-                e.extra <- e.extra @ [ h ]
+                e.extra <- e.extra @ [ h ];
+                replan e
               end);
             e.extra <- e.extra @ [ h ]);
+         replan e;
          Ok h)
 
 (* Deprecated shims (one release): the optional-argument entry points,
@@ -496,39 +556,37 @@ let add_guard h g =
      h.trusted <- None;
      h.guards <- h.guards @ [ pred ]
    | None -> ());
-  h.guards <- h.guards @ [ g ]
+  h.guards <- h.guards @ [ g ];
+  h.replan ()
 
 let uninstall e h =
   deactivate e h;
-  e.extra <- List.filter (fun x -> x != h) e.extra
+  e.extra <- List.filter (fun x -> x != h) e.extra;
+  replan e
 
 let remove_primary e ~requester =
   if e.allow_remove ~requester then begin
     e.primary_active <- false;
+    replan e;
     Ok ()
   end else Error `Denied
 
-let reinstate_primary e = e.primary_active <- true
+let reinstate_primary e =
+  e.primary_active <- true;
+  replan e
 
-let active_handlers e =
-  let primary = if e.primary_active then [ e.default_handler ] else [] in
-  primary @ e.extra
-
-let guards_pass e h arg =
-  let clock = e.disp.clock in
-  let rec eval = function
-    | [] -> true
-    | g :: rest ->
-      Spin_machine.Clock.charge clock e.disp.costs.guard_eval;
-      if g arg then eval rest
-      else begin
-        e.s_guard_rejections <- e.s_guard_rejections + 1;
-        if Trace.on e.disp.tracer then
-          Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"guard_reject"
-            ~args:[ ("event", e.e_name); ("installer", h.installer) ] ();
-        false
-      end in
-  eval h.guards
+let rec guards_pass e h arg = function
+  | [] -> true
+  | g :: rest ->
+    Spin_machine.Clock.charge e.disp.clock e.disp.costs.guard_eval;
+    if g arg then guards_pass e h arg rest
+    else begin
+      e.s_guard_rejections <- e.s_guard_rejections + 1;
+      if Trace.on e.disp.tracer then
+        Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"guard_reject"
+          ~args:[ ("event", e.e_name); ("installer", h.installer) ] ();
+      false
+    end
 
 (* The thunk runs after the raise returns — on a freshly spawned strand
    or at the next [flush_deferred] — so the handler can be uninstalled
@@ -552,6 +610,11 @@ let report_fault e h kind ~removed =
         fault_kind = kind; fault_handler_id = h.h_id;
         fault_removed = removed; fault_reinstall = h.revive }
 
+(* Raised (without a backtrace) by [invoke] when a handler's result is
+   discarded: it faulted, or it overran its bound. Never escapes
+   [raise_event]. *)
+exception Discarded
+
 (* A failing extension handler is isolated: the exception is caught,
    counted, and reported — "the failure of an extension is no more
    catastrophic than the failure of code executing in the runtime
@@ -562,8 +625,30 @@ let report_fault e h kind ~removed =
    after a delay (Restart), or goes away (Uninstall). The primary
    implementation is trusted: its exceptions propagate to the raiser,
    as a direct procedure call's would. *)
-let run_sync e h arg acc =
-  let clock = e.disp.clock in
+let call e h arg =
+  if h == e.default_handler then h.fn arg
+  else
+    match h.fn arg with
+    | r -> r
+    | exception exn ->
+      e.s_failed <- e.s_failed + 1;
+      if Trace.on e.disp.tracer then
+        Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"fault"
+          ~args:[ ("event", e.e_name); ("installer", h.installer);
+                  ("exn", Printexc.to_string exn) ] ();
+      let keep_installed =
+        e.disp.on_fault <> None
+        && (match h.policy with Quarantine _ -> true | _ -> false) in
+      if not keep_installed then begin
+        deactivate e h;
+        e.extra <- List.filter (fun x -> x != h) e.extra;
+        replan e
+      end;
+      report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
+      raise_notrace Discarded
+
+(* One synchronous invocation: the handler's result, or [Discarded]. *)
+let invoke e h arg =
   (* Checker probe: every synchronous invocation funnels through here,
      so an inactive handler reaching this point means some dispatch
      path skipped the active filter — report it to the concurrency
@@ -573,42 +658,54 @@ let run_sync e h arg acc =
       (Printf.sprintf "%s: invoking inactive handler from %s"
          e.e_name h.installer);
   e.s_invocations <- e.s_invocations + 1;
-  let invoke () =
-    if h == e.default_handler then Some (h.fn arg)
-    else
-      try Some (h.fn arg)
-      with exn ->
-        e.s_failed <- e.s_failed + 1;
-        if Trace.on e.disp.tracer then
-          Trace.instant e.disp.tracer ~cat:"dispatcher" ~name:"fault"
-            ~args:[ ("event", e.e_name); ("installer", h.installer);
-                    ("exn", Printexc.to_string exn) ] ();
-        let keep_installed =
-          e.disp.on_fault <> None
-          && (match h.policy with Quarantine _ -> true | _ -> false) in
-        if not keep_installed then begin
-          deactivate e h;
-          e.extra <- List.filter (fun x -> x != h) e.extra
-        end;
-        report_fault e h (Handler_exception exn) ~removed:(not keep_installed);
-        None in
   match h.bound with
-  | None ->
-    (match invoke () with Some r -> r :: acc | None -> acc)
+  | None -> call e h arg
   | Some bound ->
-    let result = ref None in
-    let spent = Spin_machine.Clock.stamp clock (fun () -> result := invoke ()) in
-    if spent > bound then begin
-      (* Overran its quantum: the dispatcher aborts the handler and
-         discards its result. The overrun is reported but the handler
-         stays installed — repeat offenders are the supervisor's call. *)
-      e.s_aborted <- e.s_aborted + 1;
-      (* [invoke] already reported if the handler threw. *)
-      if h != e.default_handler && !result <> None then
-        report_fault e h (Handler_overrun { bound; spent }) ~removed:false;
-      acc
-    end else
-      match !result with Some r -> r :: acc | None -> acc
+    let clock = e.disp.clock in
+    let before = Spin_machine.Clock.now clock in
+    (match call e h arg with
+     | r ->
+       let spent = Spin_machine.Clock.now clock - before in
+       if spent > bound then begin
+         (* Overran its quantum: the dispatcher aborts the handler and
+            discards its result. The overrun is reported but the
+            handler stays installed — repeat offenders are the
+            supervisor's call. *)
+         e.s_aborted <- e.s_aborted + 1;
+         if h != e.default_handler then
+           report_fault e h (Handler_overrun { bound; spent }) ~removed:false;
+         raise_notrace Discarded
+       end
+       else r
+     | exception Discarded ->
+       (* [call] already reported the fault. *)
+       if Spin_machine.Clock.now clock - before > bound then
+         e.s_aborted <- e.s_aborted + 1;
+       raise_notrace Discarded)
+
+let run_sync e h arg acc =
+  match invoke e h arg with
+  | r -> r :: acc
+  | exception Discarded -> acc
+
+let singleton e r =
+  match e.single with
+  | [ r' ] when r' == r -> e.single
+  | _ -> let l = [ r ] in e.single <- l; l
+
+(* A sole handler's raise: its result through [combine], with no
+   intermediate lists. *)
+let sole_result e h arg =
+  match invoke e h arg with
+  | r -> e.combine (singleton e r)
+  | exception Discarded -> e.combine []
+
+let fast_call e h arg =
+  if h == e.default_handler then begin
+    e.s_invocations <- e.s_invocations + 1;
+    h.fn arg
+  end
+  else sole_result e h arg
 
 (* Hold at a closed gate until the swap that closed it drains us. A
    wait hook that answers false exempts the caller (the swap strand
@@ -626,131 +723,131 @@ let gate_hold e =
       let rec hold () = if e.gated && wait () then hold () in
       hold ()
 
-let raise_event e arg =
-  gate_hold e;
-  let clock = e.disp.clock in
-  let costs = e.disp.costs in
-  let tr = e.disp.tracer in
-  e.s_raises <- e.s_raises + 1;
-  (* The handler list is snapshotted below ([active_handlers] and the
-     bucket filter build fresh lists), and every retirement site flips
-     [active] before unlinking, so mutation during the dispatch — a
-     handler uninstalling its neighbor, a supervisor sweep triggered by
-     an earlier handler's fault — is honored by the per-handler
-     [active] checks without corrupting the iteration. [in_flight]
-     records the dispatch for the invariant audit. *)
-  e.in_flight <- e.in_flight + 1;
-  Fun.protect ~finally:(fun () -> e.in_flight <- e.in_flight - 1) @@ fun () ->
-  match active_handlers e with
-  | [ h ] when h.trusted <> None && not h.async && e.n_indexed_active = 0 ->
+let deliver e h arg acc =
+  if h.async then begin
+    e.s_invocations <- e.s_invocations + 1;
+    run_async e h arg;
+    acc
+  end else run_sync e h arg acc
+
+(* One handler on the general path: trusted predicate or guard stack,
+   then a synchronous or asynchronous invocation. *)
+let general_invoke e h arg acc =
+  let clock = e.disp.clock and costs = e.disp.costs and tr = e.disp.tracer in
+  (* A handler may be evicted mid-dispatch (supervisor quarantine
+     triggered by an earlier handler's fault): honor the eviction
+     before invoking. *)
+  if not h.active then acc
+  else
+    match h.trusted with
+    | Some pred ->
+      (* Verified handler among many: still no guard stack and no
+         bound stamping, just the compiled predicate. *)
+      Spin_machine.Clock.charge clock costs.trusted_eval;
+      if not (pred arg) then acc
+      else begin
+        e.s_trusted <- e.s_trusted + 1;
+        Spin_machine.Clock.charge clock costs.trusted_invoke;
+        if Trace.on tr then
+          Trace.instant tr ~cat:"dispatcher" ~name:"invoke"
+            ~args:[ ("event", e.e_name); ("installer", h.installer);
+                    ("path", "trusted") ] ();
+        deliver e h arg acc
+      end
+    | None ->
+      if not (guards_pass e h arg h.guards) then acc
+      else begin
+        Spin_machine.Clock.charge clock costs.handler_invoke;
+        if Trace.on tr then
+          Trace.instant tr ~cat:"dispatcher" ~name:"invoke"
+            ~args:[ ("event", e.e_name); ("installer", h.installer);
+                    ("async", string_of_bool h.async) ] ();
+        deliver e h arg acc
+      end
+
+let rec invoke_linear e handlers i arg acc =
+  if i = Array.length handlers then acc
+  else
+    invoke_linear e handlers (i + 1) arg (general_invoke e handlers.(i) arg acc)
+
+let rec invoke_indexed e bucket arg acc =
+  match bucket with
+  | [] -> acc
+  | h :: rest -> invoke_indexed e rest arg (general_invoke e h arg acc)
+
+let dispatch_general e handlers arg =
+  let clock = e.disp.clock and costs = e.disp.costs and tr = e.disp.tracer in
+  Spin_machine.Clock.charge clock costs.dispatch_fixed;
+  let sp =
+    if Trace.on tr then
+      Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
+        ~args:[ ("path", "slow") ] ()
+    else Trace.null_span in
+  (* Indexed handlers are found by hashing, not by walking guards:
+     one lookup regardless of how many keys are registered. The
+     bucket is filtered before any handler runs, so a handler revived
+     mid-dispatch waits for the next raise. *)
+  let indexed_handlers =
+    match e.index with
+    | None -> []
+    | Some index ->
+      Spin_machine.Clock.charge clock costs.guard_eval;
+      (match Hashtbl.find_opt e.indexed (index arg) with
+       | Some bucket -> List.filter (fun h -> h.active) !bucket
+       | None -> []) in
+  let results =
+    invoke_indexed e indexed_handlers arg (invoke_linear e handlers 0 arg []) in
+  match e.combine (List.rev results) with
+  | r -> Trace.end_span tr sp; r
+  | exception exn -> Trace.end_span tr sp; raise exn
+
+let dispatch e arg =
+  let clock = e.disp.clock and tr = e.disp.tracer in
+  match e.plan with
+  | Trusted_sole (h, pred) ->
     (* Trusted-fast path: the predicate was proven at install time, so
        the raise charges only the compiled-predicate and trusted-call
        costs — no guard-stack walk, no bound stamping. *)
-    let pred = match h.trusted with Some p -> p | None -> assert false in
-    Spin_machine.Clock.charge clock costs.trusted_eval;
+    Spin_machine.Clock.charge clock e.disp.costs.trusted_eval;
     if pred arg then begin
       e.s_trusted <- e.s_trusted + 1;
-      Spin_machine.Clock.charge clock costs.trusted_invoke;
-      if Trace.on tr then begin
-        let sp =
-          Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
-            ~args:[ ("path", "trusted") ] () in
-        Fun.protect ~finally:(fun () -> Trace.end_span tr sp)
-          (fun () -> e.combine (List.rev (run_sync e h arg [])))
-      end
-      else e.combine (List.rev (run_sync e h arg []))
+      Spin_machine.Clock.charge clock e.disp.costs.trusted_invoke;
+      if Trace.on tr then
+        Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
+          ~args:[ ("path", "trusted") ] (fun () -> sole_result e h arg)
+      else sole_result e h arg
     end
     else e.combine []
-  | [ h ] when h.guards = [] && h.trusted = None && not h.async
-            && h.bound = None && e.n_indexed_active = 0 ->
-    (* Fast path: a raise is a protected procedure call. The guard
-       checks the *active* indexed count — [Hashtbl.length e.indexed]
-       counts buckets, which retain uninstalled handlers. *)
+  | Fast_sole h ->
+    (* Fast path: a raise is a protected procedure call. Only the
+       trusted primary gets the raw call — its exceptions propagate to
+       the raiser, as a direct procedure call's would. A sole extension
+       handler still goes through [invoke] so its faults are caught,
+       counted, and reported. *)
     e.s_fast <- e.s_fast + 1;
     Spin_machine.Clock.charge clock
       (Spin_machine.Clock.cost clock).Spin_machine.Cost.cross_module_call;
-    if Trace.on tr then begin
-      let sp =
-        Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
-          ~args:[ ("path", "fast") ] () in
-      Fun.protect ~finally:(fun () -> Trace.end_span tr sp)
-        (fun () ->
-           if h == e.default_handler then begin
-             e.s_invocations <- e.s_invocations + 1;
-             h.fn arg
-           end else e.combine (List.rev (run_sync e h arg [])))
-    end
-    else if h == e.default_handler then begin
-      (* Only the trusted primary gets the raw call — its exceptions
-         propagate to the raiser, as a direct procedure call's would.
-         A sole extension handler still goes through [run_sync] so its
-         faults are caught, counted, and reported. *)
-      e.s_invocations <- e.s_invocations + 1;
-      h.fn arg
-    end else
-      e.combine (List.rev (run_sync e h arg []))
-  | handlers ->
-    Spin_machine.Clock.charge clock costs.dispatch_fixed;
-    let sp =
-      if Trace.on tr then
-        Trace.begin_span tr ~cat:"dispatcher" ~name:e.e_name
-          ~args:[ ("path", "slow") ] ()
-      else Trace.null_span in
-    (* Indexed handlers are found by hashing, not by walking guards:
-       one lookup regardless of how many keys are registered. *)
-    let indexed_handlers =
-      match e.index with
-      | None -> []
-      | Some index ->
-        Spin_machine.Clock.charge clock costs.guard_eval;
-        (match Hashtbl.find_opt e.indexed (index arg) with
-         | Some bucket -> List.filter (fun h -> h.active) !bucket
-         | None -> []) in
-    let results =
-      List.fold_left
-        (fun acc h ->
-          (* A handler may be evicted mid-dispatch (supervisor
-             quarantine triggered by an earlier handler's fault):
-             honor the eviction before invoking. *)
-          if not h.active then acc
-          else
-            match h.trusted with
-            | Some pred ->
-              (* Verified handler among many: still no guard stack and
-                 no bound stamping, just the compiled predicate. *)
-              Spin_machine.Clock.charge clock costs.trusted_eval;
-              if not (pred arg) then acc
-              else begin
-                e.s_trusted <- e.s_trusted + 1;
-                Spin_machine.Clock.charge clock costs.trusted_invoke;
-                if Trace.on tr then
-                  Trace.instant tr ~cat:"dispatcher" ~name:"invoke"
-                    ~args:[ ("event", e.e_name); ("installer", h.installer);
-                            ("path", "trusted") ] ();
-                if h.async then begin
-                  e.s_invocations <- e.s_invocations + 1;
-                  run_async e h arg;
-                  acc
-                end else run_sync e h arg acc
-              end
-            | None ->
-              if not (guards_pass e h arg) then acc
-              else begin
-                Spin_machine.Clock.charge clock costs.handler_invoke;
-                if Trace.on tr then
-                  Trace.instant tr ~cat:"dispatcher" ~name:"invoke"
-                    ~args:[ ("event", e.e_name); ("installer", h.installer);
-                            ("async", string_of_bool h.async) ] ();
-                if h.async then begin
-                  e.s_invocations <- e.s_invocations + 1;
-                  run_async e h arg;
-                  acc
-                end else run_sync e h arg acc
-              end)
-        [] (handlers @ indexed_handlers) in
-    match e.combine (List.rev results) with
-    | r -> Trace.end_span tr sp; r
-    | exception exn -> Trace.end_span tr sp; raise exn
+    if Trace.on tr then
+      Trace.with_span tr ~cat:"dispatcher" ~name:e.e_name
+        ~args:[ ("path", "fast") ] (fun () -> fast_call e h arg)
+    else fast_call e h arg
+  | General handlers -> dispatch_general e handlers arg
+
+let raise_event e arg =
+  gate_hold e;
+  e.s_raises <- e.s_raises + 1;
+  (* [in_flight] records the dispatch for the invariant audit. The
+     plan's handler snapshot is immutable and every retirement site
+     flips [active] before unlinking, so mutation during the dispatch
+     — a handler uninstalling its neighbor, a supervisor sweep
+     triggered by an earlier handler's fault — is honored by the
+     per-handler [active] checks without corrupting the iteration. *)
+  e.in_flight <- e.in_flight + 1;
+  match dispatch e arg with
+  | r -> e.in_flight <- e.in_flight - 1; r
+  | exception exn ->
+    e.in_flight <- e.in_flight - 1;
+    Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ())
 
 let raise_default e fallback arg =
   match raise_event e arg with

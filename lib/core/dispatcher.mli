@@ -167,9 +167,11 @@ val audit : t -> (string -> unit) -> unit
 (** Sweeps every declared event and reports structural violations:
     inactive handlers lingering in a linear handler list, an
     active-indexed count that disagrees with a recount of the index
-    buckets (the fast-path guard feeds on that count), or dispatches
-    still marked in flight at a quiescent point. Cheap enough to run
-    after every test; the fuzzer runs it at every scheduling point. *)
+    buckets (the dispatch plan feeds on that count), dispatches still
+    marked in flight at a quiescent point, or an event whose cached
+    dispatch plan differs from one recomputed from its handler set (a
+    mutation that skipped the replan). Cheap enough to run after every
+    test; the fuzzer runs it at every scheduling point. *)
 
 val flush_deferred : t -> int
 (** Runs handlers deferred while no spawn hook was installed; returns
@@ -316,7 +318,7 @@ val handler_count : ('a, 'r) event -> int
 val indexed_active : ('a, 'r) event -> int
 (** Active handlers across the event's index buckets. This — not the
     bucket count, which retains uninstalled handlers — feeds the
-    fast-path guard, so it drops back to 0 (and the fast path resumes)
+    dispatch plan, so it drops back to 0 (and the fast path resumes)
     once every indexed handler is uninstalled or quarantined. *)
 
 type stats = {

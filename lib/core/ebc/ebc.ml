@@ -335,10 +335,71 @@ let verify ~layout ?(caps = [||]) ?(budget = default_budget) code =
          c_payload_loads = !payload_loads; c_cap_loads = !cap_loads }
   with Reject e -> Error e
 
+(* Runs [code] from [pc0] up to [stop]: 0/1 for Ret, -1 when control
+   falls off [stop]. Everything the program reads is an argument and
+   the loop state lives in registers, so a run allocates nothing. *)
+let rec exec code caps read_field arg buf base len regs pc0 stop =
+  let pc = ref pc0 and res = ref (-1) in
+  while !res < 0 && !pc < stop do
+    let i = !pc in
+    pc := i + 1;
+    match Array.unsafe_get code i with
+    | Ldi (r, v) -> Array.unsafe_set regs r v
+    | Ldf (r, slot) -> Array.unsafe_set regs r (read_field arg slot)
+    | Ldb (r, off) ->
+      Array.unsafe_set regs r
+        (if off < len then Char.code (Bytes.unsafe_get buf (base + off))
+         else 0)
+    | Ldw (r, off) ->
+      Array.unsafe_set regs r
+        (if off + 1 < len then
+           Char.code (Bytes.unsafe_get buf (base + off))
+           lor (Char.code (Bytes.unsafe_get buf (base + off + 1)) lsl 8)
+         else 0)
+    | Len r -> Array.unsafe_set regs r len
+    | Ldc (r, slot) ->
+      Array.unsafe_set regs r ((Array.unsafe_get caps slot).cs_read ())
+    | Mov (d, s) -> Array.unsafe_set regs d (Array.unsafe_get regs s)
+    | Add (d, a, b) ->
+      Array.unsafe_set regs d (Array.unsafe_get regs a + Array.unsafe_get regs b)
+    | Sub (d, a, b) ->
+      Array.unsafe_set regs d (Array.unsafe_get regs a - Array.unsafe_get regs b)
+    | And (d, a, b) ->
+      Array.unsafe_set regs d
+        (Array.unsafe_get regs a land Array.unsafe_get regs b)
+    | Or (d, a, b) ->
+      Array.unsafe_set regs d
+        (Array.unsafe_get regs a lor Array.unsafe_get regs b)
+    | Eq (d, a, b) ->
+      Array.unsafe_set regs d
+        (if Array.unsafe_get regs a = Array.unsafe_get regs b then 1 else 0)
+    | Lt (d, a, b) ->
+      Array.unsafe_set regs d
+        (if Array.unsafe_get regs a < Array.unsafe_get regs b then 1 else 0)
+    | Not (d, s) ->
+      Array.unsafe_set regs d (if Array.unsafe_get regs s = 0 then 1 else 0)
+    | Jmp d -> pc := i + 1 + d
+    | Jz (r, d) -> if Array.unsafe_get regs r = 0 then pc := i + 1 + d
+    | Jnz (r, d) -> if Array.unsafe_get regs r <> 0 then pc := i + 1 + d
+    | Loop (count, len_) ->
+      let bstop = i + 1 + len_ in
+      let k = ref 0 in
+      while !res < 0 && !k < count do
+        res := exec code caps read_field arg buf base len regs (i + 1) bstop;
+        incr k
+      done;
+      pc := bstop
+    | Ret r -> res := if Array.unsafe_get regs r <> 0 then 1 else 0
+  done;
+  !res
+
 (* The trusted-fast interpreter: no register bounds checks, no step
    counting — the certificate already proved both. Payload reads keep
    their dynamic length clamp (part of the verified semantics, like a
-   BPF packet read beyond the frame yielding 0). *)
+   BPF packet read beyond the frame yielding 0). The register file is
+   allocated once per compiled program and reused; a re-entrant run (a
+   field or capability read that reaches the same filter again) gets a
+   fresh one. *)
 let compile ~layout ?(caps = [||]) code =
   let read_field = layout.l_read in
   let uses_payload =
@@ -347,79 +408,22 @@ let compile ~layout ?(caps = [||]) code =
       code in
   let payload = layout.l_payload in
   let stop0 = Array.length code in
+  let shared = Array.make nregs 0 and busy = ref false in
   fun arg ->
     let buf, base, len =
       if uses_payload then
         match payload with Some p -> p arg | None -> (Bytes.empty, 0, 0)
       else (Bytes.empty, 0, 0) in
-    let regs = Array.make nregs 0 in
-    (* Returns -1 when control falls off [stop]; 0/1 for Ret. *)
-    let rec go pc stop =
-      if pc >= stop then -1
-      else
-        match Array.unsafe_get code pc with
-        | Ldi (r, v) -> Array.unsafe_set regs r v; go (pc + 1) stop
-        | Ldf (r, slot) ->
-          Array.unsafe_set regs r (read_field arg slot); go (pc + 1) stop
-        | Ldb (r, off) ->
-          Array.unsafe_set regs r
-            (if off < len then Char.code (Bytes.unsafe_get buf (base + off))
-             else 0);
-          go (pc + 1) stop
-        | Ldw (r, off) ->
-          Array.unsafe_set regs r
-            (if off + 1 < len then
-               Char.code (Bytes.unsafe_get buf (base + off))
-               lor (Char.code (Bytes.unsafe_get buf (base + off + 1)) lsl 8)
-             else 0);
-          go (pc + 1) stop
-        | Len r -> Array.unsafe_set regs r len; go (pc + 1) stop
-        | Ldc (r, slot) ->
-          Array.unsafe_set regs r ((Array.unsafe_get caps slot).cs_read ());
-          go (pc + 1) stop
-        | Mov (d, s) ->
-          Array.unsafe_set regs d (Array.unsafe_get regs s); go (pc + 1) stop
-        | Add (d, a, b) ->
-          Array.unsafe_set regs d (Array.unsafe_get regs a + Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | Sub (d, a, b) ->
-          Array.unsafe_set regs d (Array.unsafe_get regs a - Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | And (d, a, b) ->
-          Array.unsafe_set regs d
-            (Array.unsafe_get regs a land Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | Or (d, a, b) ->
-          Array.unsafe_set regs d
-            (Array.unsafe_get regs a lor Array.unsafe_get regs b);
-          go (pc + 1) stop
-        | Eq (d, a, b) ->
-          Array.unsafe_set regs d
-            (if Array.unsafe_get regs a = Array.unsafe_get regs b then 1 else 0);
-          go (pc + 1) stop
-        | Lt (d, a, b) ->
-          Array.unsafe_set regs d
-            (if Array.unsafe_get regs a < Array.unsafe_get regs b then 1 else 0);
-          go (pc + 1) stop
-        | Not (d, s) ->
-          Array.unsafe_set regs d (if Array.unsafe_get regs s = 0 then 1 else 0);
-          go (pc + 1) stop
-        | Jmp d -> go (pc + 1 + d) stop
-        | Jz (r, d) ->
-          go (if Array.unsafe_get regs r = 0 then pc + 1 + d else pc + 1) stop
-        | Jnz (r, d) ->
-          go (if Array.unsafe_get regs r <> 0 then pc + 1 + d else pc + 1) stop
-        | Loop (count, len_) ->
-          let bstop = pc + 1 + len_ in
-          let res = ref (-1) in
-          let k = ref 0 in
-          while !res = -1 && !k < count do
-            res := go (pc + 1) bstop;
-            incr k
-          done;
-          if !res >= 0 then !res else go bstop stop
-        | Ret r -> if Array.unsafe_get regs r <> 0 then 1 else 0 in
-    go 0 stop0 = 1
+    if !busy then
+      let regs = Array.make nregs 0 in
+      exec code caps read_field arg buf base len regs 0 stop0 = 1
+    else begin
+      busy := true;
+      Array.fill shared 0 nregs 0;
+      match exec code caps read_field arg buf base len shared 0 stop0 with
+      | r -> busy := false; r = 1
+      | exception exn -> busy := false; raise exn
+    end
 
 (* Checked reference interpreter with a step counter: the oracle the
    certificate is tested against. *)

@@ -309,33 +309,54 @@ let scan_next t =
     done;
   !best
 
-let buf_push buf n nil e =
+(* Stores [e] at index [n], growing the buffer first if needed;
+   returns the (possibly new) buffer. *)
+let buf_push a n nil e =
   let a =
-    if n < Array.length !buf then !buf
+    if n < Array.length a then a
     else begin
       let na = Array.make (max 64 (2 * n)) nil in
-      Array.blit !buf 0 na 0 n;
-      buf := na;
+      Array.blit a 0 na 0 n;
       na
     end in
-  a.(n) <- e
+  a.(n) <- e;
+  a
 
 let scratch_push t e =
-  let buf = ref t.scratch in
-  buf_push buf t.scratch_n t.nil e;
-  t.scratch <- !buf;
+  t.scratch <- buf_push t.scratch t.scratch_n t.nil e;
   t.scratch_n <- t.scratch_n + 1
 
 let reloc_push t e =
-  let buf = ref t.reloc in
-  buf_push buf t.reloc_n t.nil e;
-  t.reloc <- !buf;
+  t.reloc <- buf_push t.reloc t.reloc_n t.nil e;
   t.reloc_n <- t.reloc_n + 1
 
 let due_cmp a b =
   if a.e_time < b.e_time then -1
   else if a.e_time > b.e_time then 1
   else a.e_seq - b.e_seq                 (* seqs unique and non-negative *)
+
+(* Heap-sorts [a.(0) .. a.(n-1)] by [due_cmp] in place. Top-level so
+   that sorting builds no closure. *)
+let rec sift_down a i n =
+  let l = 2 * i + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && due_cmp a.(l + 1) a.(l) > 0 then l + 1 else l in
+    if due_cmp a.(c) a.(i) > 0 then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down a c n
+    end
+  end
+
+let sort_prefix a n =
+  for i = n / 2 - 1 downto 0 do sift_down a i n done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
 
 (* Ranges are computed from [cascaded], not [w_now]: the fast path
    moves [w_now] without touching the slots, so the entries between
@@ -400,13 +421,12 @@ let slow_advance t target =
       drain_overflow ()
     | Some _ | None -> () in
   drain_overflow ();
-  (* The one allocation of the slow path: an exact-size view of the
-     batch, heap-sorted in place ([due_cmp] is total — seqs are unique
-     — so stability is moot). *)
-  if t.scratch_n > 0 then begin
-    let batch = Array.sub t.scratch 0 t.scratch_n in
-    if t.scratch_n > 1 then Array.sort due_cmp batch;
-    Array.iter (fun e -> push_due t e) batch;
+  (* Order the batch where it lies ([due_cmp] is total — seqs are
+     unique — so stability is moot). *)
+  let n = t.scratch_n in
+  if n > 0 then begin
+    sort_prefix t.scratch n;
+    for i = 0 to n - 1 do push_due t t.scratch.(i) done;
     t.scratch_n <- 0
   end;
   t.approx_next <- scan_next t

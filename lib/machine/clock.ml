@@ -1,4 +1,5 @@
 type t = {
+  uid : int;
   cost : Cost.t;
   mutable now : int;
   (* Hooks run in registration order on every advance; a growable
@@ -21,9 +22,14 @@ type t = {
   mutable carry : int;
 }
 
+let next_uid = ref 0
+
 let create cost =
-  { cost; now = 0; hooks = [||]; n_hooks = 0; in_hook = false; idle = 0;
-    parallel = 1; carry = 0 }
+  incr next_uid;
+  { uid = !next_uid; cost; now = 0; hooks = [||]; n_hooks = 0;
+    in_hook = false; idle = 0; parallel = 1; carry = 0 }
+
+let id t = t.uid
 
 let cost t = t.cost
 
@@ -38,11 +44,17 @@ let run_hooks t =
        from inside an event) first run on the next advance, as the old
        captured-list iteration did. *)
     let hooks = t.hooks and n = t.n_hooks in
-    Fun.protect ~finally:(fun () -> t.in_hook <- false)
-      (fun () ->
-        for i = 0 to n - 1 do
-          hooks.(i) t
-        done)
+    (* [match ... with exception], not [Fun.protect]: this runs on
+       every charge, which must not allocate on the host. *)
+    match
+      for i = 0 to n - 1 do
+        hooks.(i) t
+      done
+    with
+    | () -> t.in_hook <- false
+    | exception exn ->
+      t.in_hook <- false;
+      Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ())
   end
 
 let charge t c =

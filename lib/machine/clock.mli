@@ -10,6 +10,11 @@ type t
 
 val create : Cost.t -> t
 
+val id : t -> int
+(** A process-unique serial number, fixed at creation: a stable hash
+    key for per-clock tables (a clock's fields mutate, and the GC
+    moves it). *)
+
 val cost : t -> Cost.t
 
 val now : t -> int

@@ -49,6 +49,17 @@ let active_cpu t = t.active
 
 let register t ~line h = Hashtbl.replace t.handlers line h
 
+(* Runs an interrupt or IPI action with further interrupts masked. It
+   runs once per interrupt, so the unmask is a [match ... with
+   exception], not a [Fun.protect] closure. *)
+let run_masked t action =
+  t.mask_depth <- t.mask_depth + 1;
+  match action () with
+  | () -> t.mask_depth <- t.mask_depth - 1
+  | exception exn ->
+    t.mask_depth <- t.mask_depth - 1;
+    Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ())
+
 let deliver t line =
   match Hashtbl.find_opt t.handlers line with
   | None -> t.spurious <- t.spurious + 1
@@ -57,8 +68,7 @@ let deliver t line =
     Clock.charge t.clock cost.Cost.interrupt_entry;
     t.delivered <- t.delivered + 1;
     (* handlers run with further interrupts masked, as on real hardware *)
-    t.mask_depth <- t.mask_depth + 1;
-    Fun.protect ~finally:(fun () -> t.mask_depth <- t.mask_depth - 1) h;
+    run_masked t h;
     Clock.charge t.clock cost.Cost.interrupt_exit
 
 let rec drain t =
@@ -104,9 +114,7 @@ let drain_ipis t ~cpu =
     t.ipis_delivered <- t.ipis_delivered + 1;
     incr n;
     (* IPI actions run in interrupt context on the target CPU. *)
-    t.mask_depth <- t.mask_depth + 1;
-    Fun.protect ~finally:(fun () -> t.mask_depth <- t.mask_depth - 1)
-      action
+    run_masked t action
   done;
   !n
 

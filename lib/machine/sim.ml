@@ -29,20 +29,26 @@ let rec create clock =
 and fire_due t =
   if not t.firing then begin
     t.firing <- true;
-    Fun.protect ~finally:(fun () -> t.firing <- false) (fun () ->
-      let rec loop () =
-        (* Re-advance each iteration: the action just fired may have
-           charged the clock (recursion is suppressed by [firing]).
-           Advancing to an unchanged time is a single comparison. *)
-        Timer_wheel.advance t.wheel (Clock.now t.clock);
-        match Timer_wheel.pop_due t.wheel with
-        | Some action ->
-          t.n_fired <- t.n_fired + 1;
-          action ();
-          loop ()
-        | None -> () in
-      loop ())
+    (* Called from a clock hook on every charge, almost always with
+       nothing due: no [Fun.protect], no per-call loop closure. *)
+    match fire_loop t with
+    | () -> t.firing <- false
+    | exception exn ->
+      t.firing <- false;
+      Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ())
   end
+
+and fire_loop t =
+  (* Re-advance each iteration: the action just fired may have charged
+     the clock (recursion is suppressed by [firing]). Advancing to an
+     unchanged time is a single comparison. *)
+  Timer_wheel.advance t.wheel (Clock.now t.clock);
+  match Timer_wheel.pop_due t.wheel with
+  | Some action ->
+    t.n_fired <- t.n_fired + 1;
+    action ();
+    fire_loop t
+  | None -> ()
 
 let clock t = t.clock
 

@@ -96,16 +96,26 @@ let create ?(capacity = 16384) clock =
 
 (* One tracer per clock: subsystems sharing a clock (every machine on
    one simulation) share a timeline, so cross-host packet flows land
-   in one trace. The registry association is physical — clocks are
-   mutable records created once per simulation. *)
-let registry : (Clock.t * t) list ref = ref []
+   in one trace. The registry is keyed physically by clock and holds
+   its entries through ephemerons, so it pins no simulation: once a
+   clock is unreachable its tracer (which points back at the clock)
+   goes with it. Subsystems look their tracer up once, when they are
+   created, so the lookup is off every per-event path. *)
+module Registry = Ephemeron.K1.Make (struct
+    type t = Clock.t
+    let equal = ( == )
+    let hash = Clock.id
+  end)
+
+let registry : t Registry.t = Registry.create 8
 
 let of_clock ?capacity clock =
-  match List.find_opt (fun (c, _) -> c == clock) !registry with
-  | Some (_, t) -> t
+  match Registry.find_opt registry clock with
+  | Some t -> t
   | None ->
     let t = create ?capacity clock in
-    registry := (clock, t) :: !registry;
+    Registry.clean registry;
+    Registry.add registry clock t;
     t
 
 let clock t = t.clock

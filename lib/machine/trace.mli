@@ -49,7 +49,10 @@ val create : ?capacity:int -> Clock.t -> t
 
 val of_clock : ?capacity:int -> Clock.t -> t
 (** The shared tracer for this clock, created on first use.
-    [capacity] only applies to that first creation. *)
+    [capacity] only applies to that first creation. The registry holds
+    its clocks weakly: a simulation nobody references is collected,
+    tracer included. Subsystems call this once, when they are created,
+    and keep the result. *)
 
 val clock : t -> Clock.t
 

@@ -9,6 +9,7 @@ module Ty = Spin_core.Ty
 
 type t = {
   machine : Machine.t;
+  tracer : Trace.t;
   sched : Sched.t;
   tcp : Tcp.t;
   cache : File_cache.t;
@@ -63,19 +64,7 @@ let serve_miss t conn name =
       t.s_not_found <- t.s_not_found + 1;
       respond t conn ~status:"404 Not Found" ~body:Bytes.empty
 
-let handle_request t conn request =
-  Clock.charge t.machine.Machine.clock parse_cost;
-  t.s_requests <- t.s_requests + 1;
-  let tr = Trace.of_clock t.machine.Machine.clock in
-  let sp =
-    if Trace.on tr then
-      Trace.begin_span tr ~cat:"http" ~name:"request"
-        ~args:[ ("path",
-                 match parse_request request with
-                 | Some name -> "/" ^ name
-                 | None -> "<bad>") ] ()
-    else Trace.null_span in
-  Fun.protect ~finally:(fun () -> Trace.end_span tr sp) @@ fun () ->
+let serve t conn request =
   match parse_request request with
   | None -> respond t conn ~status:"400 Bad Request" ~body:Bytes.empty
   | Some name ->
@@ -85,6 +74,23 @@ let handle_request t conn request =
       t.s_bytes <- t.s_bytes + Bytes.length body;
       respond t conn ~status:"200 OK" ~body
     | None -> serve_miss t conn name
+
+let handle_request t conn request =
+  Clock.charge t.machine.Machine.clock parse_cost;
+  t.s_requests <- t.s_requests + 1;
+  let tr = t.tracer in
+  if not (Trace.on tr) then serve t conn request
+  else begin
+    let sp =
+      Trace.begin_span tr ~cat:"http" ~name:"request"
+        ~args:[ ("path",
+                 match parse_request request with
+                 | Some name -> "/" ^ name
+                 | None -> "<bad>") ] () in
+    match serve t conn request with
+    | () -> Trace.end_span tr sp
+    | exception exn -> Trace.end_span tr sp; raise exn
+  end
 
 (* The bytecode view of a request: the path is the payload (a string
    is immutable; the unsafe cast is a read-only view, never written),
@@ -106,7 +112,8 @@ let create ?(port = 80) ?dispatcher machine sched tcp cache =
           (fun (_ : string) -> None))
       dispatcher in
   let t = {
-    machine; sched; tcp; cache; port; content; fallback = None;
+    machine; tracer = Trace.of_clock machine.Machine.clock;
+    sched; tcp; cache; port; content; fallback = None;
     s_requests = 0; s_ok = 0; s_not_found = 0; s_dynamic = 0;
     s_fallbacks = 0; s_bytes = 0;
   } in

@@ -47,6 +47,7 @@ type stats = {
 
 type t = {
   machine : Machine.t;
+  tracer : Trace.t;
   event : (packet, unit) Dispatcher.event;
   mutable ifaces : iface list;
   mutable routes : (addr * Netif.t) list;
@@ -83,7 +84,8 @@ let create machine dispatcher =
     Dispatcher.declare dispatcher ~name:"IP.PacketArrived" ~owner:"IP"
       ~layout:packet_layout
       ~combine:(fun _ -> ()) (fun (_ : packet) -> ()) in
-  { machine; event; ifaces = []; routes = [];
+  { machine; tracer = Trace.of_clock machine.Machine.clock; event;
+    ifaces = []; routes = [];
     s_received = 0; s_delivered = 0; s_forwarded = 0; s_dropped = 0;
     s_sent = 0 }
 
@@ -128,7 +130,7 @@ let encode_frame ~src ~dst ~proto payload =
 let charge t = Clock.charge t.machine.Machine.clock process_cost
 
 let trace_pkt t name pkt =
-  let tr = Trace.of_clock t.machine.Machine.clock in
+  let tr = t.tracer in
   if Trace.on tr then
     Trace.instant tr ~cat:"ip" ~name
       ~args:[ ("src", addr_to_string pkt.src);

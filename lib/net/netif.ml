@@ -10,6 +10,7 @@ module Ty = Spin_core.Ty
 
 type t = {
   machine : Machine.t;
+  tracer : Trace.t;
   sched : Sched.t;
   nic : Nic.t;
   name : string;
@@ -57,7 +58,8 @@ let create ?(optimized = false) ?(rx_batch = 8) ?(rx_shards = 1) machine sched
                  ~read:(fun pkt _ -> Pkt.length pkt)
                  ~payload:Pkt.view ())
       ~combine:(fun _ -> ()) (fun (_ : Pkt.t) -> ()) in
-  { machine; sched; nic; name; rx_event;
+  { machine; tracer = Trace.of_clock machine.Machine.clock;
+    sched; nic; name; rx_event;
     rx_shards;
     rx_queues = Array.init rx_shards (fun _ -> Queue.create ());
     tx_overhead; rx_overhead; rx_batch;
@@ -86,7 +88,7 @@ let transmit_frame t pkt =
   ok
 
 let transmit t pkt =
-  let tr = Trace.of_clock t.machine.Machine.clock in
+  let tr = t.tracer in
   let sp =
     if Trace.on tr then
       Trace.begin_span tr ~cat:"netif" ~name:(t.name ^ ".tx")
@@ -94,8 +96,17 @@ let transmit t pkt =
     else Trace.null_span in
   Clock.charge t.machine.Machine.clock t.tx_overhead;
   let ok = transmit_frame t pkt in
-  Trace.end_span tr sp ~args:[ ("ok", string_of_bool ok) ];
+  (* The argument list is built only for a live span: disabled tracing
+     allocates nothing on the transmit path. *)
+  if sp != Trace.null_span then
+    Trace.end_span tr sp ~args:[ ("ok", string_of_bool ok) ];
   ok
+
+let rec transmit_coalesced t sent = function
+  | [] -> sent
+  | pkt :: rest ->
+    Clock.charge t.machine.Machine.clock (t.tx_overhead / coalesce_divisor);
+    transmit_coalesced t (if transmit_frame t pkt then sent + 1 else sent) rest
 
 (* A burst pays the full driver overhead once; subsequent frames ride
    the same device doorbell and descriptor flush. *)
@@ -103,22 +114,18 @@ let transmit_burst t pkts =
   match pkts with
   | [] -> 0
   | first :: rest ->
-    let tr = Trace.of_clock t.machine.Machine.clock in
+    let tr = t.tracer in
     let sp =
       if Trace.on tr then
         Trace.begin_span tr ~cat:"netif" ~name:(t.name ^ ".tx_burst")
           ~args:[ ("frames", string_of_int (List.length pkts)) ] ()
       else Trace.null_span in
     Clock.charge t.machine.Machine.clock t.tx_overhead;
-    let sent = ref (if transmit_frame t first then 1 else 0) in
-    List.iter
-      (fun pkt ->
-        Clock.charge t.machine.Machine.clock
-          (t.tx_overhead / coalesce_divisor);
-        if transmit_frame t pkt then incr sent)
-      rest;
-    Trace.end_span tr sp ~args:[ ("sent", string_of_int !sent) ];
-    !sent
+    let sent =
+      transmit_coalesced t (if transmit_frame t first then 1 else 0) rest in
+    if sp != Trace.null_span then
+      Trace.end_span tr sp ~args:[ ("sent", string_of_int sent) ];
+    sent
 
 (* Flow steering, netisr-style: hash the flow-identifying header
    bytes — protocol, addresses and ports live in bytes 2..17 of our
@@ -142,7 +149,7 @@ let flow_hash pkt =
 let shard_of t pkt = if t.rx_shards = 1 then 0 else flow_hash pkt mod t.rx_shards
 
 let service t ~shard pkt ~first =
-  let tr = Trace.of_clock t.machine.Machine.clock in
+  let tr = t.tracer in
   let sp =
     if Trace.on tr then
       Trace.begin_span tr ~cat:"netif" ~name:(t.name ^ ".rx")

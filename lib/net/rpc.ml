@@ -16,6 +16,7 @@ type waiting = {
 
 type t = {
   machine : Machine.t;
+  tracer : Trace.t;
   sched : Sched.t;
   am : Active_msg.t;
   procs : (string, Bytes.t -> Bytes.t) Hashtbl.t;
@@ -81,7 +82,7 @@ let accept_reply t ~src:_ reply =
 
 let create machine sched am =
   let t = {
-    machine; sched; am;
+    machine; tracer = Trace.of_clock machine.Machine.clock; sched; am;
     procs = Hashtbl.create 16;
     calls = Hashtbl.create 16;
     (* Per-host deterministic stream: same machine name, same jitter
@@ -148,7 +149,7 @@ let backoff_factor rng = 1.5 +. Spin_dstruct.Splitmix.float rng
    timeout instead of consuming a backoff step. *)
 let call t ?(timeout_us = 1_000_000.) ?(retries = 0) ~dst ~name args =
   t.s_calls <- t.s_calls + 1;
-  let tr = Trace.of_clock t.machine.Machine.clock in
+  let tr = t.tracer in
   let sp =
     if Trace.on tr then
       Trace.begin_span tr ~cat:"rpc" ~name
@@ -160,7 +161,8 @@ let call t ?(timeout_us = 1_000_000.) ?(retries = 0) ~dst ~name args =
         ~args:[ ("proc", name); ("attempt", string_of_int (n + 1));
                 ("cause", kind) ] () in
   let finish outcome result =
-    Trace.end_span tr sp ~args:[ ("outcome", outcome) ];
+    if sp != Trace.null_span then
+      Trace.end_span tr sp ~args:[ ("outcome", outcome) ];
     result in
   let rec attempt n timeout =
     match call_once t ~timeout_us:timeout ~dst ~name args with

@@ -76,6 +76,7 @@ type conn = {
 
 and engine = {
   machine : Machine.t;
+  tracer : Trace.t;
   sched : Sched.t;
   ip : Ip.t;
   event : (segment * Ip.addr, unit) Dispatcher.event;
@@ -172,7 +173,7 @@ let emit t conn ~seq ~flags data =
   let flags =
     if flags land flag_syn <> 0 && conn.rcv_nxt = 0 then flags
     else flags lor flag_ack in
-  let tr = Trace.of_clock t.machine.Machine.clock in
+  let tr = t.tracer in
   if Trace.on tr then
     Trace.instant tr ~cat:"tcp" ~name:"tx"
       ~args:[ ("seq", string_of_int seq);
@@ -216,7 +217,7 @@ and on_timeout t conn =
       List.iter
         (fun u ->
           t.s_rexmit <- t.s_rexmit + 1;
-          let tr = Trace.of_clock t.machine.Machine.clock in
+          let tr = t.tracer in
           if Trace.on tr then
             Trace.instant tr ~cat:"tcp" ~name:"retransmit"
               ~args:[ ("seq", string_of_int u.u_seq);
@@ -350,19 +351,7 @@ let handle_established t conn seg =
      | _ -> ())
   end
 
-let handle_segment t (seg, src) =
-  t.s_in <- t.s_in + 1;
-  charge t;
-  let tr = Trace.of_clock t.machine.Machine.clock in
-  let sp =
-    if Trace.on tr then
-      Trace.begin_span tr ~cat:"tcp" ~name:"rx_segment"
-        ~args:[ ("seq", string_of_int seg.seq);
-                ("flags", flags_to_string seg.flags);
-                ("dport", string_of_int seg.dport);
-                ("bytes", string_of_int (Pkt.length seg.data)) ] ()
-    else Trace.null_span in
-  Fun.protect ~finally:(fun () -> Trace.end_span tr sp) @@ fun () ->
+let segment_arrived t seg src =
   match Hashtbl.find_opt t.conns (seg.dport, src, seg.sport) with
   | Some conn ->
     (match conn.st with
@@ -418,6 +407,23 @@ let handle_segment t (seg, src) =
           seq = seg.ack; ack = seg.seq; flags = flag_rst; data = Pkt.empty () }
     end
 
+let handle_segment t (seg, src) =
+  t.s_in <- t.s_in + 1;
+  charge t;
+  let tr = t.tracer in
+  if not (Trace.on tr) then segment_arrived t seg src
+  else begin
+    let sp =
+      Trace.begin_span tr ~cat:"tcp" ~name:"rx_segment"
+        ~args:[ ("seq", string_of_int seg.seq);
+                ("flags", flags_to_string seg.flags);
+                ("dport", string_of_int seg.dport);
+                ("bytes", string_of_int (Pkt.length seg.data)) ] () in
+    match segment_arrived t seg src with
+    | () -> Trace.end_span tr sp
+    | exception exn -> Trace.end_span tr sp; raise exn
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -427,7 +433,8 @@ let create machine sched dispatcher ip =
     Dispatcher.declare dispatcher ~name:"TCP.PacketArrived" ~owner:"TCP"
       ~combine:(fun _ -> ()) (fun (_ : segment * Ip.addr) -> ()) in
   let t = {
-    machine; sched; ip; event; demux = None;
+    machine; tracer = Trace.of_clock machine.Machine.clock;
+    sched; ip; event; demux = None;
     conns = Hashtbl.create 64;
     listeners = Hashtbl.create 16;
     next_port = 32768;

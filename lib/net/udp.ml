@@ -19,6 +19,7 @@ type stats = { sent : int; received : int }
 
 type t = {
   machine : Machine.t;
+  tracer : Trace.t;
   ip : Ip.t;
   event : (datagram, unit) Dispatcher.event;
   mutable s_sent : int;
@@ -40,7 +41,7 @@ let input t (pkt : Ip.packet) =
          endpoint sees the packet in place, headroom intact for an
          in-place reply. *)
       let payload = Pkt.sub b ~pos:header_bytes ~len in
-      let tr = Trace.of_clock t.machine.Machine.clock in
+      let tr = t.tracer in
       if Trace.on tr then
         Trace.instant tr ~cat:"udp" ~name:"rx"
           ~args:[ ("src", Ip.addr_to_string pkt.Ip.src);
@@ -72,7 +73,9 @@ let create machine dispatcher ip =
     Dispatcher.declare dispatcher ~name:"UDP.PacketArrived" ~owner:"UDP"
       ~layout:datagram_layout
       ~combine:(fun _ -> ()) (fun (_ : datagram) -> ()) in
-  let t = { machine; ip; event; s_sent = 0; s_received = 0 } in
+  let t =
+    { machine; tracer = Trace.of_clock machine.Machine.clock; ip; event;
+      s_sent = 0; s_received = 0 } in
   ignore (Ip.attach ip ~protos:[ Ip.proto_udp ] ~installer:"UDP" (input t));
   t
 

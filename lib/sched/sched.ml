@@ -47,6 +47,7 @@ type steal_policy = thief:int -> Strand.t list -> Strand.t option
 type t = {
   sim : Sim.t;
   clock : Clock.t;
+  tracer : Trace.t;
   params : params;
   events : events;
   cpus : int;
@@ -136,7 +137,7 @@ let default_block t s =
        block_current suspends right after raising the event). *)
     dequeue t s;
     s.Strand.state <- Strand.Blocked;
-    let tr = Trace.of_clock t.clock in
+    let tr = t.tracer in
     if Trace.on tr then
       Trace.instant tr ~cat:"sched" ~name:"block"
         ~args:[ ("strand", s.Strand.name) ] ()
@@ -144,7 +145,7 @@ let default_block t s =
 
 let enqueue_wakeup t ~cpu s =
   enqueue t ~cpu s;
-  let tr = Trace.of_clock t.clock in
+  let tr = t.tracer in
   if Trace.on tr then
     Trace.instant tr ~cat:"sched" ~name:"unblock"
       ~args:[ ("strand", s.Strand.name) ] ();
@@ -231,7 +232,7 @@ let create ?(params = default_params) ?cpus ?intr sim dispatcher =
          checkpoint = declare "Strand.Checkpoint" (fun _ _ -> ());
          resume = declare "Strand.Resume" (fun _ _ -> ());
        } in
-       { sim; clock; params; events; cpus; intr;
+       { sim; clock; tracer = Trace.of_clock clock; params; events; cpus; intr;
          queues =
            Array.init cpus (fun _ ->
              Array.init (Strand.max_priority + 1) (fun _ -> Dllist.create ()));
@@ -309,16 +310,16 @@ let runnable_strands t =
   done;
   List.rev !acc
 
-let scan t ~cpu =
-  let rec go p =
-    if p < 0 then None
-    else
-      match Dllist.pop_front t.queues.(cpu).(p) with
-      | Some s ->
-        s.Strand.qnode <- None;
-        if s.Strand.state = Strand.Runnable then Some s else go p
-      | None -> go (p - 1) in
-  go Strand.max_priority
+let rec scan_from t ~cpu p =
+  if p < 0 then None
+  else
+    match Dllist.pop_front t.queues.(cpu).(p) with
+    | Some s as found ->
+      s.Strand.qnode <- None;
+      if s.Strand.state = Strand.Runnable then found else scan_from t ~cpu p
+    | None -> scan_from t ~cpu (p - 1)
+
+let scan t ~cpu = scan_from t ~cpu Strand.max_priority
 
 let next_runnable t ~cpu =
   match t.selector with
@@ -353,7 +354,12 @@ let queued_on t ~cpu =
    cache locality), not pinned elsewhere. Longest victim first, each
    victim's strands in scan order, so the default policy — take the
    head — steals the longest-waiting urgent strand from the most
-   overloaded CPU. *)
+   overloaded CPU. Only an installed [steal_policy] sees this list;
+   [default_steal] finds its head without building it. *)
+let may_steal ~thief s =
+  s.Strand.state = Strand.Runnable
+  && (match s.Strand.affinity with None -> true | Some a -> a = thief)
+
 let stealable t ~thief =
   let victims =
     List.init t.cpus (fun c -> c)
@@ -361,43 +367,66 @@ let stealable t ~thief =
     |> List.stable_sort
          (fun a b -> compare (queued_on t ~cpu:b) (queued_on t ~cpu:a)) in
   List.concat_map
-    (fun v ->
-      List.filter
-        (fun s ->
-          match s.Strand.affinity with
-          | None -> true
-          | Some a -> a = thief)
-        (runnable_on t ~cpu:v))
+    (fun v -> List.filter (may_steal ~thief) (runnable_on t ~cpu:v))
     victims
 
+(* The first strand of [victim]'s queues, in scan order, that [ok]
+   accepts. *)
+let rec first_stealable t ~ok ~victim p =
+  if p < 0 then None
+  else
+    let q = t.queues.(victim).(p) in
+    match if Dllist.is_empty q then None else Dllist.find ok q with
+    | Some _ as found -> found
+    | None -> first_stealable t ~ok ~victim (p - 1)
+
+(* The head of [stealable]: among victims with something to take, the
+   longest queue, ties to the lower CPU. *)
+let default_steal t ~thief =
+  let ok = may_steal ~thief in
+  let best = ref None and best_len = ref 1 in
+  for v = 0 to t.cpus - 1 do
+    let len = queued_on t ~cpu:v in
+    if v <> thief && len > !best_len then
+      match first_stealable t ~ok ~victim:v Strand.max_priority with
+      | Some _ as found -> best := found; best_len := len
+      | None -> ()
+  done;
+  !best
+
 let try_steal t ~thief =
-  match stealable t ~thief with
-  | [] -> ()
-  | candidates ->
-    let pick =
-      match t.steal_policy with
-      | None -> Some (List.hd candidates)
-      | Some policy -> policy ~thief candidates in
-    (match pick with
-     | None -> ()
-     | Some s ->
-       if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
-          && s.Strand.qcpu <> thief
-          && (match s.Strand.affinity with None -> true | Some a -> a = thief)
-          && queued_on t ~cpu:s.Strand.qcpu >= 2
-       then begin
-         dequeue t s;
-         enqueue t ~cpu:thief s;
-         t.s_steals <- t.s_steals + 1
-       end else
-         report_violation t
-           (Printf.sprintf "steal policy picked unstealable strand %s"
-              (Strand.to_string s)))
+  let pick =
+    match t.steal_policy with
+    | None -> default_steal t ~thief
+    | Some policy ->
+      (match stealable t ~thief with
+       | [] -> None
+       | candidates -> policy ~thief candidates) in
+  match pick with
+  | None -> ()
+  | Some s ->
+    if s.Strand.state = Strand.Runnable && s.Strand.qnode <> None
+       && s.Strand.qcpu <> thief
+       && (match s.Strand.affinity with None -> true | Some a -> a = thief)
+       && queued_on t ~cpu:s.Strand.qcpu >= 2
+    then begin
+      dequeue t s;
+      enqueue t ~cpu:thief s;
+      t.s_steals <- t.s_steals + 1
+    end else
+      report_violation t
+        (Printf.sprintf "steal policy picked unstealable strand %s"
+           (Strand.to_string s))
+
+let rec overloaded_from t c =
+  c < t.cpus && (queued_on t ~cpu:c >= 2 || overloaded_from t (c + 1))
 
 (* Idle-time balancing, run at every scheduling point: each CPU with
-   an empty queue pulls at most one strand. *)
+   an empty queue pulls at most one strand. Only a CPU holding two or
+   more strands can be stolen from, so without one there is nothing to
+   do — the common case, checked without building anything. *)
 let rebalance t =
-  if t.cpus > 1 then
+  if t.cpus > 1 && overloaded_from t 0 then
     for thief = 0 to t.cpus - 1 do
       if queued_on t ~cpu:thief = 0 then try_steal t ~thief
     done
@@ -438,7 +467,7 @@ let execute t ~cpu s =
   t.exec_cpu <- cpu;
   (match t.intr with Some intr -> Intr.set_active_cpu intr cpu | None -> ());
   s.Strand.last_cpu <- cpu;
-  let tr = Trace.of_clock t.clock in
+  let tr = t.tracer in
   if Trace.on tr then begin
     let args = [ ("strand", s.Strand.name); ("owner", s.Strand.owner) ] in
     (* CPU tag only on multiprocessors, keeping single-CPU traces (and
@@ -491,30 +520,56 @@ let busy_cpus t =
   done;
   !acc
 
-let default_pick t candidates =
-  (* First candidate at or after the round-robin cursor, wrapping. *)
-  match List.find_opt (fun c -> c >= t.rr_cpu) candidates with
-  | Some c -> c
-  | None -> List.hd candidates
+(* The default choice of the CPU to advance next, or -1 when no CPU
+   has queued work: the first busy CPU at or after the round-robin
+   cursor, wrapping to the lowest. With two or more busy CPUs the
+   cursor moves past the choice; a lone busy CPU does not move it. *)
+let default_cpu t =
+  let busy = ref 0 and lowest = ref (-1) and after = ref (-1) in
+  for c = 0 to t.cpus - 1 do
+    if queued_on t ~cpu:c > 0 then begin
+      incr busy;
+      if !lowest < 0 then lowest := c;
+      if !after < 0 && c >= t.rr_cpu then after := c
+    end
+  done;
+  if !busy <= 1 then !lowest
+  else begin
+    let c = if !after >= 0 then !after else !lowest in
+    t.rr_cpu <- (c + 1) mod t.cpus;
+    c
+  end
+
+(* An installed [cpu_selector] chooses from the list of busy CPUs when
+   two or more have work; a choice it cannot make falls back to
+   [default_cpu]. *)
+let select_cpu t select =
+  match busy_cpus t with
+  | [] -> -1
+  | [ c ] -> c
+  | candidates ->
+    match select candidates with
+    | Some c when List.mem c candidates ->
+      t.rr_cpu <- (c + 1) mod t.cpus;
+      c
+    | Some c ->
+      report_violation t
+        (Printf.sprintf "cpu selector picked CPU %d with no work" c);
+      default_cpu t
+    | None -> default_cpu t
 
 let pick_cpu t =
-  match busy_cpus t with
-  | [] -> None
-  | [ c ] -> Some c
-  | candidates ->
-    let c =
-      match t.cpu_selector with
-      | None -> default_pick t candidates
-      | Some select ->
-        (match select candidates with
-         | Some c when List.mem c candidates -> c
-         | Some c ->
-           report_violation t
-             (Printf.sprintf "cpu selector picked CPU %d with no work" c);
-           default_pick t candidates
-         | None -> default_pick t candidates) in
-    t.rr_cpu <- (c + 1) mod t.cpus;
-    Some c
+  match t.cpu_selector with
+  | Some select -> select_cpu t select
+  | None -> default_cpu t
+
+(* CPUs other than [cpu] with queued work. *)
+let busy_besides t ~cpu =
+  let n = ref 0 in
+  for c = 0 to t.cpus - 1 do
+    if c <> cpu && queued_on t ~cpu:c > 0 then incr n
+  done;
+  !n
 
 let drain_all_ipis t =
   match t.intr with
@@ -524,6 +579,24 @@ let drain_all_ipis t =
       ignore (Intr.drain_ipis intr ~cpu:c)
     done
 
+let rec pick_and_run t =
+  let cpu = pick_cpu t in
+  if cpu < 0 then false
+  else
+    match next_runnable t ~cpu with
+    | None -> pick_and_run t               (* queue held only stale entries *)
+    | Some s ->
+      (* Wall-clock concurrency: every other CPU with queued work runs
+         its own slice during this one, so work cycles charged here
+         advance wall time at 1/K. *)
+      Clock.set_parallel t.clock (1 + busy_besides t ~cpu);
+      (match execute t ~cpu s with
+       | () -> Clock.set_parallel t.clock 1
+       | exception exn ->
+         Clock.set_parallel t.clock 1;
+         Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ()));
+      true
+
 let step t =
   (* Scheduling point. Deliver pending IPIs first — every CPU is at an
      instruction boundary between slices — so checkers observe the
@@ -532,24 +605,7 @@ let step t =
   drain_all_ipis t;
   (match t.probe with Some f -> f () | None -> ());
   rebalance t;
-  let rec try_pick () =
-    match pick_cpu t with
-    | None -> false
-    | Some cpu ->
-      match next_runnable t ~cpu with
-      | None -> try_pick ()               (* queue held only stale entries *)
-      | Some s ->
-        (* Wall-clock concurrency: every other CPU with queued work
-           runs its own slice during this one, so work cycles charged
-           here advance wall time at 1/K. *)
-        let busy =
-          1 + List.length (List.filter (fun c -> c <> cpu) (busy_cpus t)) in
-        Clock.set_parallel t.clock busy;
-        Fun.protect
-          ~finally:(fun () -> Clock.set_parallel t.clock 1)
-          (fun () -> execute t ~cpu s);
-        true in
-  try_pick ()
+  pick_and_run t
 
 let run ?(until = fun () -> false) t =
   let rec loop () =

@@ -31,6 +31,7 @@ exception Out_of_memory
 
 type t = {
   machine : Machine.t;
+  tracer : Trace.t;
   colors : int;
   used : Bitset.t;
   referenced : Bitset.t;                 (* per-pfn reference bits *)
@@ -51,7 +52,7 @@ let create ?(colors = 8) machine dispatcher =
      of; tie the knot through a forward cell. *)
   let self = ref None in
   let t =
-    { machine; colors;
+    { machine; tracer = Trace.of_clock machine.Machine.clock; colors;
       used = Bitset.create frames;
       referenced = Bitset.create frames;
       live = [];
@@ -195,44 +196,54 @@ let release_frames t run =
     Bitset.clear t.referenced i
   done
 
+(* One reclaim: ask SelectVictim for a candidate, let Reclaim
+   substitute, then invalidate and free the victim. *)
+let reclaim_victim t ~requester ~needed =
+  match
+    Dispatcher.raise_event t.select_victim
+      { requester; needed_pages = needed }
+  with
+  | None -> None
+  | Some candidate ->
+    let victim = Dispatcher.raise_event t.reclaim candidate in
+    (* A handler may only substitute a page this service minted and
+       still tracks; anything else falls back to the candidate. *)
+    let victim =
+      if List.exists (Capability.equal victim) t.live then victim
+      else candidate in
+    match Capability.deref_opt victim with
+    | None -> None
+    | Some run ->
+      List.iter (fun f -> f victim) t.invalidates;
+      release_frames t run;
+      Capability.revoke victim;
+      t.live <- List.filter (fun p -> not (Capability.equal p victim)) t.live;
+      t.reclaim_count <- t.reclaim_count + 1;
+      Some victim
+
+let traced_reclaim t ~requester ~needed =
+  let tr = t.tracer in
+  if not (Trace.on tr) then reclaim_victim t ~requester ~needed
+  else begin
+    let sp =
+      Trace.begin_span tr ~cat:"vm" ~name:"reclaim"
+        ~args:[ ("requester", requester) ] () in
+    let outcome = reclaim_victim t ~requester ~needed in
+    Trace.end_span tr sp
+      ~args:[ ("outcome",
+               match outcome with Some _ -> "freed" | None -> "empty") ];
+    outcome
+  end
+
 let do_reclaim t ~requester ~needed =
   (* A reclaim handler that itself allocates must see a clean
      Out_of_memory, never recurse back in here. *)
   if t.in_reclaim || not t.reclaim_enabled then None
   else begin
     t.in_reclaim <- true;
-    Fun.protect ~finally:(fun () -> t.in_reclaim <- false) @@ fun () ->
-    let tr = Trace.of_clock t.machine.Machine.clock in
-    let sp =
-      if Trace.on tr then
-        Trace.begin_span tr ~cat:"vm" ~name:"reclaim"
-          ~args:[ ("requester", requester) ] ()
-      else Trace.null_span in
-    let finish outcome =
-      Trace.end_span tr sp
-        ~args:[ ("outcome", match outcome with Some _ -> "freed" | None -> "empty") ];
-      outcome in
-    match
-      Dispatcher.raise_event t.select_victim
-        { requester; needed_pages = needed }
-    with
-    | None -> finish None
-    | Some candidate ->
-      let victim = Dispatcher.raise_event t.reclaim candidate in
-      (* A handler may only substitute a page this service minted and
-         still tracks; anything else falls back to the candidate. *)
-      let victim =
-        if List.exists (Capability.equal victim) t.live then victim
-        else candidate in
-      match Capability.deref_opt victim with
-      | None -> finish None
-      | Some run ->
-        List.iter (fun f -> f victim) t.invalidates;
-        release_frames t run;
-        Capability.revoke victim;
-        t.live <- List.filter (fun p -> not (Capability.equal p victim)) t.live;
-        t.reclaim_count <- t.reclaim_count + 1;
-        finish (Some victim)
+    match traced_reclaim t ~requester ~needed with
+    | outcome -> t.in_reclaim <- false; outcome
+    | exception exn -> t.in_reclaim <- false; raise exn
   end
 
 let force_reclaim t = do_reclaim t ~requester:"PhysAddr" ~needed:1

@@ -46,6 +46,7 @@ type stats = {
 
 type t = {
   machine : Machine.t;
+  tracer : Trace.t;
   costs : costs;
   page_not_present : (fault, unit) Dispatcher.event;
   bad_address : (fault, unit) Dispatcher.event;
@@ -66,7 +67,7 @@ let declare_fault_event dispatcher name =
 
 let create ?(costs = default_costs) machine dispatcher phys =
   let t = {
-    machine; costs;
+    machine; tracer = Trace.of_clock machine.Machine.clock; costs;
     page_not_present = declare_fault_event dispatcher "Translation.PageNotPresent";
     bad_address = declare_fault_event dispatcher "Translation.BadAddress";
     protection_fault = declare_fault_event dispatcher "Translation.ProtectionFault";
@@ -214,6 +215,14 @@ let in_region ctx va =
     (fun r -> va >= r.Virt_addr.va && va < r.Virt_addr.va + r.Virt_addr.bytes)
     ctx.regions
 
+let mark_fault t f kind =
+  let tr = t.tracer in
+  if Trace.on tr then
+    Trace.instant tr ~cat:"vm" ~name:kind
+      ~args:[ ("va", Printf.sprintf "0x%x" f.va);
+              ("ctx", string_of_int f.ctx.id);
+              ("owner", f.ctx.owner) ] ()
+
 let handle_trap t trap =
   match trap with
   | Cpu.Mem_fault { va; access; fault } ->
@@ -226,26 +235,19 @@ let handle_trap t trap =
         | None -> false
         | Some ctx ->
           let f = { ctx; va; access } in
-          let tr = Trace.of_clock t.machine.Machine.clock in
-          let mark kind =
-            if Trace.on tr then
-              Trace.instant tr ~cat:"vm" ~name:kind
-                ~args:[ ("va", Printf.sprintf "0x%x" va);
-                        ("ctx", string_of_int ctx.id);
-                        ("owner", ctx.owner) ] () in
           (match fault with
            | Mmu.Protection_violation ->
              t.s_prot <- t.s_prot + 1;
-             mark "protection_fault";
+             mark_fault t f "protection_fault";
              Dispatcher.raise_default t.protection_fault () f
            | Mmu.Page_not_present | Mmu.Bad_address ->
              if in_region ctx va then begin
                t.s_np <- t.s_np + 1;
-               mark "page_not_present";
+               mark_fault t f "page_not_present";
                Dispatcher.raise_default t.page_not_present () f
              end else begin
                t.s_bad <- t.s_bad + 1;
-               mark "bad_address";
+               mark_fault t f "bad_address";
                Dispatcher.raise_default t.bad_address () f
              end);
           true))

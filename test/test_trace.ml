@@ -316,6 +316,32 @@ let test_http_request_traced_across_layers () =
   check bool "http.request latency summarised" true
     (Trace.summary tr ~key:"http.request" <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Registry                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A whole simulation built and dropped: only a weak pointer to its
+   shared tracer survives the call. *)
+let[@inline never] dropped_simulation () =
+  let m = Machine.create ~name:"dropped" ~mem_mb:4 () in
+  let d = Spin_core.Dispatcher.create m.Machine.clock in
+  ignore (Sched.create m.Machine.sim d);
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Trace.of_clock m.Machine.clock));
+  w
+
+let test_registry_does_not_pin () =
+  let live = Clock.create Cost.alpha_133 in
+  let tr = Trace.of_clock live in
+  Trace.enable tr;
+  let dropped = dropped_simulation () in
+  Gc.full_major ();
+  check bool "a dropped clock's tracer is collected" false
+    (Weak.check dropped 0);
+  check bool "a live clock keeps its own tracer" true
+    (Trace.of_clock live == tr);
+  check bool "and its state" true (Trace.on (Trace.of_clock live))
+
 let () =
   Alcotest.run "spin_trace"
     [
@@ -339,6 +365,11 @@ let () =
         [
           test_case "disabled tracer records nothing" `Quick
             test_disabled_tracer_records_nothing;
+        ] );
+      ( "registry",
+        [
+          test_case "dropped clocks are not pinned" `Quick
+            test_registry_does_not_pin;
         ] );
       ( "export",
         [
