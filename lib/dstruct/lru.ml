@@ -43,8 +43,12 @@ let add t k v =
   (match Hashtbl.find_opt t.table k with
    | Some node ->
      let (_, vref) = Dllist.value node in
+     let old = !vref in
      vref := v;
-     touch t node
+     touch t node;
+     (* The replaced value leaves the cache as surely as an evicted
+        one: its owner must get to release it. *)
+     if old != v then t.on_evict k old
    | None ->
      let node = Dllist.push_front t.order (k, ref v) in
      Hashtbl.replace t.table k node);
@@ -56,6 +60,11 @@ let remove t k =
   | Some node ->
     Dllist.remove t.order node;
     Hashtbl.remove t.table k
+
+let coldest t =
+  match Dllist.peek_back t.order with
+  | None -> None
+  | Some (k, vref) -> Some (k, !vref)
 
 let mem t k = Hashtbl.mem t.table k
 

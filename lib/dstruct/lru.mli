@@ -22,11 +22,16 @@ val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} without touching recency. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** [add t k v] binds [k] (replacing any previous binding), marks it
-    most recently used, and evicts the LRU entry if over capacity. *)
+(** [add t k v] binds [k], marks it most recently used, and evicts the
+    LRU entry if over capacity. A previous binding of [k] to a
+    different value is passed to the eviction callback, like any
+    other value that leaves the cache. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
 (** Removes without invoking the eviction callback. *)
+
+val coldest : ('k, 'v) t -> ('k * 'v) option
+(** The least-recently-used binding, without touching recency; O(1). *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 

@@ -10,7 +10,11 @@ module Phys_addr = Spin_vm.Phys_addr
 
 let blocks_per_page = Addr.page_size / Disk.block_size
 
+(* One disk request in flight, keyed by its first block: [count]
+   blocks, read or written. *)
 type pending = {
+  count : int;
+  reading : bool;
   mutable waiters : Spin_sched.Strand.t list;
   mutable data : Bytes.t option;
   mutable complete : bool;
@@ -38,10 +42,8 @@ type t = {
 }
 
 let coldest_page t =
-  let last = ref None in
-  Lru.iter (fun _ e -> last := Some e.page) t.cache;
-  match !last with
-  | Some p -> p
+  match Lru.coldest t.cache with
+  | Some (_, e) -> e.page
   | None -> assert false (* handler guarded on a non-empty cache *)
 
 (* The reclamation protocol chose one of our pages; drop whatever
@@ -101,64 +103,84 @@ let create ?(capacity_blocks = 2048) ?(owner = "BlockCache") ~phys
   Phys_addr.add_invalidate phys (forget t);
   t
 
-let wait_for t block submit =
-  (* Single-flight per block: concurrent waiters join the in-flight
-     request instead of overwriting each other's registration (which
-     left every waiter but the last blocked forever — the lost wakeup
-     the schedule fuzzer finds). *)
-  let p =
-    match Hashtbl.find_opt t.pending block with
-    | Some p ->
-      p.waiters <- Sched.self t.sched :: p.waiters;
-      p
-    | None ->
-      let p = { waiters = [ Sched.self t.sched ]; data = None;
-                complete = false } in
-      Hashtbl.replace t.pending block p;
-      submit ();
-      p in
-  (* Wakeups can be spurious (e.g. the caller is a protocol thread
-     that network interrupts also unblock): wait for completion. *)
+(* Wakeups can be spurious (e.g. the caller is a protocol thread that
+   network interrupts also unblock): wait for completion. *)
+let await t p =
+  p.waiters <- Sched.self t.sched :: p.waiters;
   while not p.complete do
     Sched.block_current t.sched
-  done;
+  done
+
+(* [io] raises on a bad request before anything is registered; its
+   completion cannot arrive before we wait. *)
+let submit t block ~count ~reading io =
+  io ();
+  let p = { count; reading; waiters = []; data = None; complete = false } in
+  Hashtbl.replace t.pending block p;
+  await t p;
   p.data
 
-let rec disk_read t block =
-  match wait_for t block (fun () -> Disk.submit_read t.disk ~block ~count:1) with
-  | Some data -> data
+(* Single-flight per first block: a read joins an in-flight read of
+   the same run instead of overwriting its registration (which left
+   every waiter but the last blocked forever — the lost wakeup the
+   schedule fuzzer finds), and each joiner gets its own copy. Any other
+   in-flight I/O there, a write or a run of another length, is waited
+   out; then the read asks again. *)
+let rec disk_read t block ~count =
+  match Hashtbl.find_opt t.pending block with
   | None ->
-    (* Joined an in-flight write's completion (which carries no data):
-       that I/O is done now, so a fresh read of our own will submit. *)
-    disk_read t block
+    Option.get
+      (submit t block ~count ~reading:true (fun () ->
+         Disk.submit_read t.disk ~block ~count))
+  | Some p when p.reading && p.count = count ->
+    await t p;
+    Bytes.copy (Option.get p.data)
+  | Some p ->
+    await t p;
+    disk_read t block ~count
+
+(* A write never joins: it waits out whatever I/O is in flight on its
+   first block, then submits its own data. *)
+let rec disk_write t block data =
+  match Hashtbl.find_opt t.pending block with
+  | Some p ->
+    await t p;
+    disk_write t block data
+  | None ->
+    ignore
+      (submit t block ~count:(Bytes.length data / Disk.block_size)
+         ~reading:false (fun () -> Disk.submit_write t.disk ~block data))
 
 let group_of block = block / blocks_per_page
 let slot_of block = block mod blocks_per_page
 let slot_off block = slot_of block * Disk.block_size
 
+(* After a miss's disk wait: put [data] in the group's page, or in a
+   fresh one; under hopeless pressure serve uncached. *)
+let cache_block t block data =
+  let group = group_of block in
+  (* Re-check after the wait: a concurrent reader of the same group
+     may have cached it while we slept, and adding a second page would
+     evict the first with the slots it already holds. *)
+  match Lru.find t.cache group with
+  | Some e when Capability.is_valid e.page ->
+    Phys_addr.touch t.phys e.page;
+    Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
+    e.valid <- e.valid lor (1 lsl slot_of block)
+  | Some _ | None ->
+    (match Phys_addr.allocate t.phys ~owner:t.owner ~bytes:Addr.page_size with
+     | page ->
+       Phys_addr.touch t.phys page;
+       Phys_addr.fill t.phys page ~off:(slot_off block) data;
+       Lru.add t.cache group { page; valid = 1 lsl slot_of block }
+     | exception Phys_addr.Out_of_memory -> t.degraded <- t.degraded + 1)
+
 let read t ~block =
   let group = group_of block in
   let bit = 1 lsl slot_of block in
-  (* Miss path for a group we hold no page for: read the block, then
-     try to take a page; under hopeless pressure serve uncached. *)
-  let fill_new () =
-    let data = disk_read t block in
-    (* Re-check after the wait: a concurrent reader of the same group
-       may have cached it while we slept; a second Lru.add would leak
-       its page (replacement bypasses the eviction callback). *)
-    (match Lru.find t.cache group with
-     | Some e when Capability.is_valid e.page ->
-       Phys_addr.touch t.phys e.page;
-       Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
-       e.valid <- e.valid lor bit
-     | Some _ | None ->
-       (match Phys_addr.allocate t.phys ~owner:t.owner ~bytes:Addr.page_size with
-        | page ->
-          Phys_addr.touch t.phys page;
-          Phys_addr.fill t.phys page ~off:(slot_off block) data;
-          Lru.add t.cache group { page; valid = bit }
-        | exception Phys_addr.Out_of_memory -> t.degraded <- t.degraded + 1));
-    data in
+  let miss () =
+    t.misses <- t.misses + 1;
+    disk_read t block ~count:1 in
   match Lru.find t.cache group with
   | Some e when Capability.is_valid e.page ->
     if e.valid land bit <> 0 then begin
@@ -169,46 +191,56 @@ let read t ~block =
         ~len:Disk.block_size
     end
     else begin
-      (* The page is resident but this slot was never filled. *)
-      t.misses <- t.misses + 1;
-      let data = disk_read t block in
-      Phys_addr.touch t.phys e.page;
-      Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
-      e.valid <- e.valid lor bit;
+      (* The page is resident but this slot was never filled. Reclaim
+         or eviction may take the page during the disk wait. *)
+      let data = miss () in
+      if Capability.is_valid e.page then begin
+        Phys_addr.touch t.phys e.page;
+        Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
+        e.valid <- e.valid lor bit
+      end
+      else cache_block t block data;
       data
     end
   | Some _ ->
     (* Lost the page behind our back; treat as a cold miss. *)
     Lru.remove t.cache group;
-    t.misses <- t.misses + 1;
-    fill_new ()
+    let data = miss () in
+    cache_block t block data;
+    data
   | None ->
-    t.misses <- t.misses + 1;
-    fill_new ()
+    let data = miss () in
+    cache_block t block data;
+    data
 
-let read_uncached t ~block =
-  t.misses <- t.misses + 1;
-  disk_read t block
-
-let write_block t block data =
-  if Bytes.length data <> Disk.block_size then
-    invalid_arg "Block_cache.write: not one block";
-  ignore (wait_for t block (fun () -> Disk.submit_write t.disk ~block data))
+let read_uncached ?(count = 1) t ~block =
+  t.misses <- t.misses + count;
+  disk_read t block ~count
 
 let write t ~block data =
-  write_block t block data;
-  match Lru.peek t.cache (group_of block) with
-  | Some e when Capability.is_valid e.page ->
-    Phys_addr.fill t.phys e.page ~off:(slot_off block) data;
-    e.valid <- e.valid lor (1 lsl slot_of block)
-  | Some _ -> Lru.remove t.cache (group_of block)
-  | None -> ()
-
-let write_uncached t ~block data =
-  (match Lru.peek t.cache (group_of block) with
-   | Some e -> e.valid <- e.valid land lnot (1 lsl slot_of block)
-   | None -> ());
-  write_block t block data
+  let len = Bytes.length data in
+  if len = 0 || len mod Disk.block_size <> 0 then
+    invalid_arg "Block_cache.write: not whole blocks";
+  disk_write t block data;
+  (* Write-through: refresh whichever slots of the run are resident. *)
+  let count = len / Disk.block_size in
+  let rec refresh i =
+    if i < count then begin
+      let b = block + i in
+      let group = group_of b in
+      let n = min (count - i) (blocks_per_page - slot_of b) in
+      (match Lru.peek t.cache group with
+       | Some e when Capability.is_valid e.page ->
+         let chunk =
+           if n = count then data
+           else Bytes.sub data (i * Disk.block_size) (n * Disk.block_size) in
+         Phys_addr.fill t.phys e.page ~off:(slot_off b) chunk;
+         e.valid <- e.valid lor (((1 lsl n) - 1) lsl slot_of b)
+       | Some _ -> Lru.remove t.cache group
+       | None -> ());
+      refresh (i + n)
+    end in
+  refresh 0
 
 let flush t =
   (* [Lru.clear] skips the eviction callback; return the pages by

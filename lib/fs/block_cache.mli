@@ -33,15 +33,16 @@ val create :
 val read : t -> block:int -> Bytes.t
 (** One block; a private copy. Must run in strand context on a miss. *)
 
-val read_uncached : t -> block:int -> Bytes.t
-(** Bypass the cache entirely (the "non-caching file system" mode the
-    SPIN web server runs on). *)
+val read_uncached : ?count:int -> t -> block:int -> Bytes.t
+(** [count] blocks (default 1) from [block] on, in one disk request,
+    bypassing the cache entirely (the "non-caching file system" mode
+    the SPIN web server runs on). *)
 
 val write : t -> block:int -> Bytes.t -> unit
-(** Write-through; updates the cached page when the block's group is
-    resident. *)
-
-val write_uncached : t -> block:int -> Bytes.t -> unit
+(** Writes any whole number of blocks from [block] on, in one disk
+    request, after any I/O already in flight on [block] completes.
+    Write-through: updates the cached slots of every resident group
+    the run touches. *)
 
 val flush : t -> unit
 (** Drop every cached block and return the pages. *)

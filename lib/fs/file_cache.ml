@@ -19,6 +19,7 @@ type t = {
   large_threshold : int;
   capacity_bytes : int;
   cache : (string, entry) Lru.t;
+  gens : (string, int) Hashtbl.t;         (* name -> invalidations so far *)
   mutable bytes_held : int;
   mutable hit_count : int;
   mutable miss_count : int;
@@ -32,10 +33,8 @@ let entry_bytes e = Array.length e.pages * Addr.page_size
 let dealloc_entry t e = Array.iter (Phys_addr.deallocate t.phys) e.pages
 
 let coldest_page t =
-  let last = ref None in
-  Lru.iter (fun _ e -> last := Some e.pages.(0)) t.cache;
-  match !last with
-  | Some p -> p
+  match Lru.coldest t.cache with
+  | Some (_, e) -> e.pages.(0)
   | None -> assert false (* handler guarded on a non-empty cache *)
 
 (* One of our pages is being reclaimed: the whole entry it belonged
@@ -71,6 +70,7 @@ let create ?(capacity_bytes = 4 * 1024 * 1024) ?(large_threshold = 64 * 1024)
               self.bytes_held <- self.bytes_held - entry_bytes e;
               dealloc_entry self e)
             ~capacity:4096 ();
+        gens = Hashtbl.create 64;
         bytes_held = 0; hit_count = 0; miss_count = 0; large_count = 0;
         reclaim_count = 0; degraded_count = 0 } in
   let t = Lazy.force t in
@@ -86,18 +86,18 @@ let create ?(capacity_bytes = 4 * 1024 * 1024) ?(large_threshold = 64 * 1024)
   Phys_addr.add_invalidate phys (forget t);
   t
 
+let drop t name e =
+  t.bytes_held <- t.bytes_held - entry_bytes e;
+  dealloc_entry t e;
+  Lru.remove t.cache name
+
 let evict_to_budget t =
-  while t.bytes_held > t.capacity_bytes && Lru.length t.cache > 0 do
-    (* Walk to the cold end of the LRU (last in iteration order). *)
-    let last = ref None in
-    Lru.iter (fun k e -> last := Some (k, e)) t.cache;
-    match !last with
-    | None -> t.bytes_held <- 0
-    | Some (k, e) ->
-      t.bytes_held <- t.bytes_held - entry_bytes e;
-      dealloc_entry t e;
-      Lru.remove t.cache k
-  done
+  let rec loop () =
+    if t.bytes_held > t.capacity_bytes then
+      match Lru.coldest t.cache with
+      | Some (k, e) -> drop t k e; loop ()
+      | None -> () in
+  loop ()
 
 (* Take pages for [data] and insert it; under hopeless pressure give
    back whatever we got and stay uncached. *)
@@ -146,19 +146,24 @@ let read_out t e =
     e.pages;
   out
 
-let drop t name e =
-  t.bytes_held <- t.bytes_held - entry_bytes e;
-  dealloc_entry t e;
-  Lru.remove t.cache name
+let generation t name =
+  match Hashtbl.find t.gens name with
+  | g -> g
+  | exception Not_found -> 0
 
 let fetch t ~name =
+  (* Taken before any disk wait: see [refetch]. *)
+  let gen = generation t name in
   if not (Simple_fs.exists t.fs ~name) then None
   else begin
     let size = Simple_fs.size t.fs ~name in
     let refetch () =
       t.miss_count <- t.miss_count + 1;
       let data = Simple_fs.read ~cached:false t.fs ~name in
-      try_insert t ~name data;
+      (* An invalidate that landed while we waited on the disk may
+         belong to a rewrite our read predates: serve these bytes, but
+         do not cache them past that invalidate. *)
+      if generation t name = gen then try_insert t ~name data;
       Some data in
     if size > t.large_threshold then begin
       (* Large: never cached, read around the buffer cache too. *)
@@ -177,6 +182,7 @@ let fetch t ~name =
   end
 
 let invalidate t ~name =
+  Hashtbl.replace t.gens name (generation t name + 1);
   match Lru.peek t.cache name with
   | Some e -> drop t name e
   | None -> ()

@@ -28,6 +28,9 @@ val fetch : t -> name:string -> Bytes.t option
     always go to the file system (uncached at both levels). *)
 
 val invalidate : t -> name:string -> unit
+(** Drops [name]'s entry. A miss on [name] whose disk read was in
+    flight across the invalidate still serves what it read, but does
+    not cache it. *)
 
 val stats : t -> Cache_stats.t
 (** [bytes_cached] counts whole resident pages; [reclaims] counts

@@ -35,17 +35,21 @@ type inode = {
   mutable indirect : int;                 (* indirect block, 0 = none *)
 }
 
+(* An on-disk bitmap: the set in memory, and the bytes its blocks
+   hold on disk as of the last sync. *)
+type bitmap = {
+  set : Bitset.t;
+  start : int;                            (* first disk block *)
+  mutable synced : Bytes.t;
+  mutable dirty : bool;                   (* [set] changed since the sync *)
+}
+
 type t = {
   cache : Block_cache.t;
-  ninodes : int;
-  nblocks : int;
-  ibitmap_block : int;
-  dbitmap_start : int;
-  dbitmap_blocks : int;
   itable_start : int;
   data_start : int;
-  ibitmap : Bitset.t;
-  dbitmap : Bitset.t;                     (* indexed by data block ordinal *)
+  ibitmap : bitmap;
+  dbitmap : bitmap;                       (* indexed by data block ordinal *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -92,18 +96,38 @@ let decode_bitset b nbits =
 (* Metadata I/O                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let write_blocks t start data =
-  let nblocks = (Bytes.length data + bs - 1) / bs in
-  for i = 0 to nblocks - 1 do
-    let chunk = Bytes.make bs '\000' in
-    let len = min bs (Bytes.length data - (i * bs)) in
-    Bytes.blit data (i * bs) chunk 0 len;
-    Block_cache.write t.cache ~block:(start + i) chunk
-  done
+let block_differs a b i =
+  let rec go off =
+    off < (i + 1) * bs
+    && (Bytes.get a off <> Bytes.get b off || go (off + 1)) in
+  go (i * bs)
 
-let sync_ibitmap t = write_blocks t t.ibitmap_block (encode_bitset t.ibitmap)
+(* Metadata reaches the disk only where it changed: a bitmap is synced
+   once per operation, writing one request per run of blocks whose
+   bytes differ from what the disk holds. *)
+let sync_bitmap t bm =
+  if bm.dirty then begin
+    bm.dirty <- false;
+    let old = bm.synced and now = encode_bitset bm.set in
+    bm.synced <- now;
+    let n = Bytes.length now / bs in
+    let rec run_end j =
+      if j < n && block_differs old now j then run_end (j + 1) else j in
+    let rec scan i =
+      if i < n then
+        if block_differs old now i then begin
+          let j = run_end (i + 1) in
+          Block_cache.write t.cache ~block:(bm.start + i)
+            (Bytes.sub now (i * bs) ((j - i) * bs));
+          scan j
+        end
+        else scan (i + 1) in
+    scan 0
+  end
 
-let sync_dbitmap t = write_blocks t t.dbitmap_start (encode_bitset t.dbitmap)
+let sync t =
+  sync_bitmap t t.ibitmap;
+  sync_bitmap t t.dbitmap
 
 let read_inode t i =
   let block = t.itable_start + (i / inodes_per_block) in
@@ -113,30 +137,33 @@ let read_inode t i =
 let write_inode t i ino =
   let block = t.itable_start + (i / inodes_per_block) in
   let data = Block_cache.read t.cache ~block in
-  Bytes.blit (encode_inode ino) 0 data ((i mod inodes_per_block) * inode_size)
-    inode_size;
-  Block_cache.write t.cache ~block data
+  let off = (i mod inodes_per_block) * inode_size in
+  let enc = encode_inode ino in
+  if not (Bytes.equal enc (Bytes.sub data off inode_size)) then begin
+    Bytes.blit enc 0 data off inode_size;
+    Block_cache.write t.cache ~block data
+  end
 
 let alloc_inode t =
-  match Bitset.find_first_clear t.ibitmap with
+  match Bitset.find_first_clear t.ibitmap.set with
   | None -> raise (Fs_error No_space)
   | Some i ->
-    Bitset.set t.ibitmap i;
-    sync_ibitmap t;
+    Bitset.set t.ibitmap.set i;
+    t.ibitmap.dirty <- true;
     i
 
 let alloc_data_block t =
-  match Bitset.find_first_clear t.dbitmap with
+  match Bitset.find_first_clear t.dbitmap.set with
   | None -> raise (Fs_error No_space)
   | Some ordinal ->
-    Bitset.set t.dbitmap ordinal;
-    sync_dbitmap t;
+    Bitset.set t.dbitmap.set ordinal;
+    t.dbitmap.dirty <- true;
     t.data_start + ordinal
 
 let free_data_block t block =
   if block >= t.data_start then begin
-    Bitset.clear t.dbitmap (block - t.data_start);
-    sync_dbitmap t
+    Bitset.clear t.dbitmap.set (block - t.data_start);
+    t.dbitmap.dirty <- true
   end
 
 (* ------------------------------------------------------------------ *)
@@ -147,32 +174,52 @@ let indirect_table t ino =
   if ino.indirect = 0 then None
   else Some (Block_cache.read t.cache ~block:ino.indirect)
 
-let block_of t ino n =
-  if n < ndirect then (if ino.direct.(n) = 0 then None else Some ino.direct.(n))
-  else if n >= max_file_blocks then raise (Fs_error File_too_large)
-  else
-    match indirect_table t ino with
-    | None -> None
-    | Some table ->
-      let blk = get32 table ((n - ndirect) * 4) in
-      if blk = 0 then None else Some blk
+(* The disk blocks of file blocks [first..last] (0 for a hole). With
+   [alloc], holes get blocks, allocated in file order, and the indirect
+   table is written once if it changed. *)
+let file_blocks ?(alloc = false) t ino ~first ~last =
+  let blocks = Array.make (last - first + 1) 0 in
+  let table = ref (if last < ndirect then None else indirect_table t ino) in
+  let table_changed = ref false in
+  for n = first to last do
+    blocks.(n - first) <-
+      (if n < ndirect then begin
+         if alloc && ino.direct.(n) = 0 then
+           ino.direct.(n) <- alloc_data_block t;
+         ino.direct.(n)
+       end
+       else
+         let slot = (n - ndirect) * 4 in
+         match !table with
+         | Some tb when get32 tb slot <> 0 -> get32 tb slot
+         | _ when not alloc -> 0
+         | found ->
+           let blk = alloc_data_block t in
+           let tb =
+             match found with
+             | Some tb -> tb
+             | None ->
+               ino.indirect <- alloc_data_block t;
+               let tb = Bytes.make bs '\000' in
+               table := Some tb;
+               tb in
+           set32 tb slot blk;
+           table_changed := true;
+           blk)
+  done;
+  (match !table with
+   | Some tb when !table_changed ->
+     Block_cache.write t.cache ~block:ino.indirect tb
+   | _ -> ());
+  blocks
 
-let ensure_block t ino n =
-  match block_of t ino n with
-  | Some blk -> blk
-  | None ->
-    let blk = alloc_data_block t in
-    if n < ndirect then ino.direct.(n) <- blk
-    else begin
-      if ino.indirect = 0 then begin
-        ino.indirect <- alloc_data_block t;
-        Block_cache.write t.cache ~block:ino.indirect (Bytes.make bs '\000')
-      end;
-      let table = Block_cache.read t.cache ~block:ino.indirect in
-      set32 table ((n - ndirect) * 4) blk;
-      Block_cache.write t.cache ~block:ino.indirect table
-    end;
-    blk
+(* The length of the run of [blocks] from [i] on that is contiguous on
+   disk: such a run is one disk request. *)
+let run_length blocks i =
+  let rec go k =
+    if i + k < Array.length blocks && blocks.(i + k) = blocks.(i) + k
+    then go (k + 1) else k in
+  go 1
 
 let truncate_inode t ino =
   for n = 0 to ndirect - 1 do
@@ -196,42 +243,63 @@ let truncate_inode t ino =
 (* Inode-level read and write                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Copy file block [n]'s share of the range that [out] holds from
+   file offset [off] on, out of [src], which holds the block at [pos]. *)
+let copy_out out ~off n src pos =
+  let base = n * bs in
+  let lo = max off base and hi = min (off + Bytes.length out) (base + bs) in
+  Bytes.blit src (pos + lo - base) out (lo - off) (hi - lo)
+
 let read_inode_data t ?(cached = true) ino ~off ~len =
   let len = max 0 (min len (ino.size - off)) in
-  let out = Bytes.create len in
-  let fetch block =
-    if cached then Block_cache.read t.cache ~block
-    else Block_cache.read_uncached t.cache ~block in
-  let rec loop pos =
-    if pos < len then begin
-      let file_off = off + pos in
-      let n = file_off / bs and boff = file_off mod bs in
-      let chunk = min (len - pos) (bs - boff) in
-      (match block_of t ino n with
-       | Some block -> Bytes.blit (fetch block) boff out pos chunk
-       | None -> ());                      (* hole reads as zeros *)
-      loop (pos + chunk)
-    end in
-  loop 0;
+  let out = Bytes.make len '\000' in                (* holes read as zeros *)
+  if len > 0 then begin
+    let first = off / bs and last = (off + len - 1) / bs in
+    let blocks = file_blocks t ino ~first ~last in
+    let i = ref 0 in
+    while !i < Array.length blocks do
+      let block = blocks.(!i) in
+      if block = 0 then incr i
+      else if cached then begin
+        copy_out out ~off (first + !i) (Block_cache.read t.cache ~block) 0;
+        incr i
+      end
+      else begin
+        let count = run_length blocks !i in
+        let data = Block_cache.read_uncached t.cache ~block ~count in
+        for k = 0 to count - 1 do
+          copy_out out ~off (first + !i + k) data (k * bs)
+        done;
+        i := !i + count
+      end
+    done
+  end;
   out
 
 let write_inode_data t ino ~off data =
   let len = Bytes.length data in
   if off + len > max_file_bytes then raise (Fs_error File_too_large);
-  let rec loop pos =
-    if pos < len then begin
-      let file_off = off + pos in
-      let n = file_off / bs and boff = file_off mod bs in
-      let chunk = min (len - pos) (bs - boff) in
-      let block = ensure_block t ino n in
-      let cur =
-        if chunk = bs then Bytes.make bs '\000'
-        else Block_cache.read t.cache ~block in
-      Bytes.blit data pos cur boff chunk;
-      Block_cache.write t.cache ~block cur;
-      loop (pos + chunk)
-    end in
-  loop 0;
+  if len > 0 then begin
+    let first = off / bs and last = (off + len - 1) / bs in
+    let blocks = file_blocks ~alloc:true t ino ~first ~last in
+    let i = ref 0 in
+    while !i < Array.length blocks do
+      let count = run_length blocks !i in
+      let buf = Bytes.make (count * bs) '\000' in
+      for k = 0 to count - 1 do
+        let base = (first + !i + k) * bs in
+        let lo = max off base and hi = min (off + len) (base + bs) in
+        (* A block the write covers only in part keeps the file bytes
+           it already held; one wholly past the end holds none. *)
+        if hi - lo < bs && base < ino.size then
+          Bytes.blit (Block_cache.read t.cache ~block:blocks.(!i + k)) 0
+            buf (k * bs) bs;
+        Bytes.blit data (lo - off) buf ((k * bs) + lo - base) (hi - lo)
+      done;
+      Block_cache.write t.cache ~block:blocks.(!i) buf;
+      i := !i + count
+    done
+  end;
   ino.size <- max ino.size (off + len)
 
 (* ------------------------------------------------------------------ *)
@@ -303,34 +371,33 @@ let layout ~ninodes ~blocks =
   (ibitmap_block, dbitmap_start, dbitmap_blocks, itable_start, data_start)
 
 let make cache ~ninodes ~blocks ~ibitmap ~dbitmap =
-  let ibitmap_block, dbitmap_start, dbitmap_blocks, itable_start, data_start =
+  let ibitmap_block, dbitmap_start, _, itable_start, data_start =
     layout ~ninodes ~blocks in
-  { cache; ninodes; nblocks = blocks;
-    ibitmap_block; dbitmap_start; dbitmap_blocks; itable_start; data_start;
-    ibitmap; dbitmap }
+  let bitmap set start data =
+    { set; start; synced = data; dirty = false } in
+  { cache; itable_start; data_start;
+    ibitmap = bitmap ibitmap ibitmap_block (encode_bitset ibitmap);
+    dbitmap = bitmap dbitmap dbitmap_start (encode_bitset dbitmap) }
 
 let format cache ?(ninodes = 512) ~blocks () =
   let _, _, _, _, data_start = layout ~ninodes ~blocks in
   if data_start + 8 > blocks then invalid_arg "Simple_fs.format: too few blocks";
   let ibitmap = Bitset.create ninodes in
   let dbitmap = Bitset.create (blocks - data_start) in
-  let t = make cache ~ninodes ~blocks ~ibitmap ~dbitmap in
-  (* Superblock. *)
-  let sb = Bytes.make bs '\000' in
-  set32 sb 0 magic;
-  set32 sb 4 ninodes;
-  set32 sb 8 blocks;
-  Block_cache.write cache ~block:0 sb;
-  (* Root directory: inode 0, empty. *)
+  (* Root directory: inode 0, empty (an all-zero inode). *)
   Bitset.set ibitmap root_inode;
-  sync_ibitmap t;
-  sync_dbitmap t;
-  (* Zero the inode table. *)
-  let itable_blocks = (ninodes + inodes_per_block - 1) / inodes_per_block in
-  for i = 0 to itable_blocks - 1 do
-    Block_cache.write cache ~block:(t.itable_start + i) (Bytes.make bs '\000')
-  done;
-  write_inode t root_inode { size = 0; direct = Array.make ndirect 0; indirect = 0 };
+  let t = make cache ~ninodes ~blocks ~ibitmap ~dbitmap in
+  (* Every metadata block, contiguous from block 0, in one request:
+     superblock, bitmaps, and the zeroed inode table. *)
+  let meta = Bytes.make (data_start * bs) '\000' in
+  set32 meta 0 magic;
+  set32 meta 4 ninodes;
+  set32 meta 8 blocks;
+  List.iter
+    (fun bm ->
+       Bytes.blit bm.synced 0 meta (bm.start * bs) (Bytes.length bm.synced))
+    [ t.ibitmap; t.dbitmap ];
+  Block_cache.write cache ~block:0 meta;
   t
 
 let mount cache =
@@ -355,25 +422,30 @@ let lookup_exn t name =
 
 let exists t ~name = Option.is_some (dir_lookup t name)
 
+(* Each operation that changes the file system ends by syncing the
+   bitmaps it dirtied. *)
 let create t ~name =
   if String.length name > max_name then raise (Fs_error Name_too_long);
   if exists t ~name then raise (Fs_error File_exists);
   let inum = alloc_inode t in
   write_inode t inum { size = 0; direct = Array.make ndirect 0; indirect = 0 };
-  dir_add t name inum
+  dir_add t name inum;
+  sync t
 
 let write t ~name data =
   let inum = lookup_exn t name in
   let ino = read_inode t inum in
   truncate_inode t ino;
   write_inode_data t ino ~off:0 data;
-  write_inode t inum ino
+  write_inode t inum ino;
+  sync t
 
 let append t ~name data =
   let inum = lookup_exn t name in
   let ino = read_inode t inum in
   write_inode_data t ino ~off:ino.size data;
-  write_inode t inum ino
+  write_inode t inum ino;
+  sync t
 
 let read ?(cached = true) t ~name =
   let ino = read_inode t (lookup_exn t name) in
@@ -390,10 +462,12 @@ let delete t ~name =
   let ino = read_inode t inum in
   truncate_inode t ino;
   write_inode t inum ino;
-  Bitset.clear t.ibitmap inum;
-  sync_ibitmap t;
-  dir_remove t name
+  Bitset.clear t.ibitmap.set inum;
+  t.ibitmap.dirty <- true;
+  dir_remove t name;
+  sync t
 
 let list_files t = List.map fst (dir_entries t)
 
-let free_blocks t = Bitset.length t.dbitmap - Bitset.count t.dbitmap
+let free_blocks t =
+  Bitset.length t.dbitmap.set - Bitset.count t.dbitmap.set

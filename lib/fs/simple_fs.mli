@@ -18,7 +18,12 @@
     All operations must run in strand context (they block on disk
     I/O). Reads can bypass the buffer cache, which is how the SPIN
     web server runs on a non-caching file system and manages its own
-    object cache instead. *)
+    object cache instead; such a read is one disk request per run of
+    file blocks that are contiguous on disk, and so is every data
+    write. Metadata is written only where it changed: each operation
+    that modifies the file system syncs its bitmaps once, at its end.
+    Those operations are not serialized against each other: run them
+    one at a time (reads may run beside them). *)
 
 type t
 

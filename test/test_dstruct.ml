@@ -502,6 +502,31 @@ let test_lru_replace_and_remove () =
   check (option string) "removed" None (Lru.find c 1);
   Lru.remove c 1                          (* idempotent *)
 
+let test_lru_replace_evicts_old_value () =
+  let evicted = ref [] in
+  let c =
+    Lru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted)
+      ~capacity:4 () in
+  Lru.add c "a" 1;
+  Lru.add c "a" 2;
+  check (list (pair string int)) "old value evicted once" [ ("a", 1) ]
+    !evicted;
+  Lru.add c "a" 2;                        (* the same value stays *)
+  check int "no callback for the same value" 1 (List.length !evicted);
+  check (option int) "new value bound" (Some 2) (Lru.peek c "a")
+
+let test_lru_coldest () =
+  let c = Lru.create ~capacity:4 () in
+  check (option (pair string int)) "empty" None (Lru.coldest c);
+  Lru.add c "a" 1;
+  Lru.add c "b" 2;
+  Lru.add c "c" 3;
+  ignore (Lru.find c "a");
+  check (option (pair string int)) "least recent" (Some ("b", 2))
+    (Lru.coldest c);
+  check (option (pair string int)) "coldest does not touch" (Some ("b", 2))
+    (Lru.coldest c)
+
 let prop_lru_never_exceeds_capacity =
   QCheck2.Test.make ~name:"lru holds at most capacity" ~count:200
     QCheck2.Gen.(pair (int_range 1 8) (list (int_range 0 20)))
@@ -608,6 +633,9 @@ let () =
           Alcotest.test_case "evicts least recent" `Quick test_lru_eviction_order;
           Alcotest.test_case "peek preserves order" `Quick test_lru_peek_does_not_touch;
           Alcotest.test_case "replace and remove" `Quick test_lru_replace_and_remove;
+          Alcotest.test_case "replace evicts the old value" `Quick
+            test_lru_replace_evicts_old_value;
+          Alcotest.test_case "coldest" `Quick test_lru_coldest;
         ] );
       ( "idtable",
         [

@@ -28,6 +28,19 @@ let with_fs_machine body =
   Sched.run sched;
   match !failure with Some e -> raise e | None -> ()
 
+(* From strand context: run [bodies] as strands, spawned in order, and
+   return once every one has finished, re-raising the first failure. *)
+let concurrently sched bodies =
+  let running = ref (List.length bodies) and failure = ref None in
+  List.iteri
+    (fun i body ->
+      ignore (Sched.spawn sched ~name:(Printf.sprintf "strand-%d" i) (fun () ->
+        (try body () with e -> if !failure = None then failure := Some e);
+        decr running)))
+    bodies;
+  while !running > 0 do Sched.sleep_us sched 1_000. done;
+  Option.iter raise !failure
+
 (* ------------------------------------------------------------------ *)
 (* Block cache                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -106,6 +119,57 @@ let test_block_cache_concurrent_same_block () =
   check int "all readers woken" 3 !completed;
   (* One request in flight, everyone joined it. *)
   check int "single disk read" 1 (Disk.reads disk)
+
+(* A run of blocks is one disk request each way, and a write of a run
+   refreshes the resident slots of every group it crosses. *)
+let test_block_cache_runs () =
+  with_fs_machine (fun _ _ disk cache _ ->
+    let bs = Disk.block_size in
+    ignore (Block_cache.read cache ~block:15);     (* groups 0 and 1 *)
+    ignore (Block_cache.read cache ~block:16);     (* resident *)
+    let run = Bytes.init (3 * bs) (fun i -> Char.chr (i / bs + 65)) in
+    let writes = Disk.writes disk and reads = Disk.reads disk in
+    Block_cache.write cache ~block:15 run;
+    check int "one write request" 1 (Disk.writes disk - writes);
+    for i = 0 to 2 do
+      check bytes (Printf.sprintf "block %d" (15 + i))
+        (Bytes.sub run (i * bs) bs) (Block_cache.read cache ~block:(15 + i))
+    done;
+    check int "all three served from the cache" reads (Disk.reads disk);
+    check bytes "uncached run" run
+      (Block_cache.read_uncached cache ~block:15 ~count:3);
+    check int "one read request" (reads + 1) (Disk.reads disk))
+
+(* Regression: a write that found a read of its block in flight used
+   to join that read's completion and return without ever submitting
+   its own data, so the write was lost. *)
+let test_block_cache_write_during_read () =
+  with_fs_machine (fun _ sched disk cache _ ->
+    let data = Bytes.make Disk.block_size 'N' in
+    concurrently sched
+      [ (fun () -> ignore (Block_cache.read_uncached cache ~block:9));
+        (fun () -> Block_cache.write cache ~block:9 data) ];
+    check int "the write reached the disk" 1 (Disk.writes disk);
+    check bytes "block 9 holds the write" data
+      (Block_cache.read_uncached cache ~block:9))
+
+(* Regression: a read of an unfilled slot in a resident page filled
+   that page after its disk wait even when reclaim had taken the page
+   meanwhile, and the reading strand died on the revoked capability. *)
+let test_block_cache_page_reclaimed_during_fill () =
+  with_fs_machine (fun _ sched _ cache phys ->
+    let data = Bytes.make Disk.block_size 'r' in
+    Block_cache.write cache ~block:1 data;
+    ignore (Block_cache.read cache ~block:0);      (* group 0 resident *)
+    let got = ref Bytes.empty in
+    concurrently sched
+      [ (fun () -> got := Block_cache.read cache ~block:1);
+        (fun () -> while Phys_addr.force_reclaim phys <> None do () done) ];
+    check bytes "read survives the reclaim" data !got;
+    check int "the page was reclaimed" 1
+      (Block_cache.stats cache).Cache_stats.reclaims;
+    check int "the block is cached again" Spin_machine.Addr.page_size
+      (Block_cache.stats cache).Cache_stats.bytes_cached)
 
 (* ------------------------------------------------------------------ *)
 (* Simple_fs                                                          *)
@@ -215,6 +279,63 @@ let test_fs_mount_rejects_garbage () =
     (try ignore (Simple_fs.mount cache); fail "expected mount failure"
      with Simple_fs.Fs_error Simple_fs.No_such_file -> ()))
 
+(* The fast storage path: a same-size rewrite frees and reallocates
+   the same blocks, so the bitmaps and the inode do not change and only
+   the data run is written; an uncached read of the file is one disk
+   request. *)
+let test_fs_one_request_per_run () =
+  with_fs_machine (fun _ _ disk cache _ ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    Simple_fs.create fs ~name:"page";
+    Simple_fs.write fs ~name:"page" (Bytes.make 6144 'a');
+    let v2 = Bytes.init 6144 (fun i -> Char.chr (i land 0xff)) in
+    let writes = Disk.writes disk in
+    Simple_fs.write fs ~name:"page" v2;
+    check int "rewrite is one disk write" 1 (Disk.writes disk - writes);
+    let reads = Disk.reads disk in
+    let got = Simple_fs.read ~cached:false fs ~name:"page" in
+    check int "uncached read is one disk read" 1 (Disk.reads disk - reads);
+    check bytes "contents" v2 got)
+
+(* Bitmaps are synced once per operation, and only where they changed:
+   after a mix of operations a fresh mount must see exactly what the
+   live file system does. *)
+let test_fs_deferred_sync_is_consistent () =
+  with_fs_machine (fun _ _ _ cache _ ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    let content name n =
+      Bytes.init n (fun i -> Char.chr ((i + Hashtbl.hash name) land 0xff)) in
+    List.iter (fun (name, n) ->
+        Simple_fs.create fs ~name;
+        Simple_fs.write fs ~name (content name n))
+      [ ("a", 6144); ("b", 700); ("c", 20_000); ("d", 3000) ];
+    (* a grows into the indirect block, d shrinks, e reuses c's blocks. *)
+    Simple_fs.write fs ~name:"a" (content "a2" 9000);
+    Simple_fs.append fs ~name:"b" (content "b2" 1500);
+    Simple_fs.delete fs ~name:"c";
+    Simple_fs.write fs ~name:"d" (content "d2" 100);
+    Simple_fs.create fs ~name:"e";
+    Simple_fs.write fs ~name:"e" (content "e" 12_000);
+    let expect =
+      [ ("a", content "a2" 9000);
+        ("b", Bytes.cat (content "b" 700) (content "b2" 1500));
+        ("d", content "d2" 100);
+        ("e", content "e" 12_000) ] in
+    let names = List.map fst expect in
+    List.iter (fun (name, data) ->
+        check bytes ("live " ^ name) data (Simple_fs.read fs ~name))
+      expect;
+    Block_cache.flush cache;
+    let fs2 = Simple_fs.mount cache in
+    check (list string) "same files" names
+      (List.sort compare (Simple_fs.list_files fs2));
+    List.iter (fun (name, data) ->
+        check bytes ("remounted " ^ name) data
+          (Simple_fs.read ~cached:false fs2 ~name))
+      expect;
+    check int "same free blocks" (Simple_fs.free_blocks fs)
+      (Simple_fs.free_blocks fs2))
+
 (* ------------------------------------------------------------------ *)
 (* File cache                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -312,6 +433,45 @@ let test_file_cache_survives_reclaim () =
      | None -> fail "missing after reclaim");
     check int "refetch was a miss" 2 (File_cache.stats fc).Cache_stats.misses)
 
+(* Regression: two concurrent misses on one file both inserted it, and
+   the replaced entry's page leaked while still counted, so the cache
+   believed itself over budget from then on. *)
+let test_file_cache_concurrent_misses () =
+  with_fs_machine (fun _ sched _ cache phys ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    Simple_fs.create fs ~name:"obj";
+    Simple_fs.write fs ~name:"obj" (Bytes.make 3_000 'o');
+    let fc = File_cache.create ~phys fs in
+    let fetch () = ignore (File_cache.fetch fc ~name:"obj") in
+    concurrently sched [ fetch; fetch ];
+    check int "two misses" 2 (File_cache.stats fc).Cache_stats.misses;
+    check int "one page held" Spin_machine.Addr.page_size
+      (File_cache.stats fc).Cache_stats.bytes_cached;
+    fetch ();
+    check int "next fetch hits" 1 (File_cache.stats fc).Cache_stats.hits)
+
+(* A miss whose disk read was in flight across an invalidate serves
+   what it read but must not cache it: the invalidate may belong to a
+   rewrite the read predates. *)
+let test_file_cache_invalidate_during_miss () =
+  with_fs_machine (fun _ sched _ cache phys ->
+    let fs = Simple_fs.format cache ~blocks:8192 () in
+    Simple_fs.create fs ~name:"f";
+    Simple_fs.write fs ~name:"f" (Bytes.of_string "v1");
+    let fc = File_cache.create ~phys fs in
+    let first = ref None in
+    concurrently sched
+      [ (fun () -> first := File_cache.fetch fc ~name:"f");
+        (fun () ->
+          File_cache.invalidate fc ~name:"f";
+          Simple_fs.write fs ~name:"f" (Bytes.of_string "v2")) ];
+    check (option string) "in-flight miss served its read" (Some "v1")
+      (Option.map Bytes.to_string !first);
+    check int "nothing cached" 0 (File_cache.stats fc).Cache_stats.bytes_cached;
+    check (option string) "next fetch sees the rewrite" (Some "v2")
+      (Option.map Bytes.to_string (File_cache.fetch fc ~name:"f"));
+    check int "and was a miss" 2 (File_cache.stats fc).Cache_stats.misses)
+
 let test_caches_degrade_when_reclaim_disabled () =
   with_fs_machine (fun _ _ _ cache phys ->
     let fs = Simple_fs.format cache ~blocks:8192 () in
@@ -347,6 +507,11 @@ let () =
           test_case "survives reclaim" `Quick test_block_cache_survives_reclaim;
           test_case "concurrent same-block readers" `Quick
             test_block_cache_concurrent_same_block;
+          test_case "runs are one request" `Quick test_block_cache_runs;
+          test_case "write during an in-flight read" `Quick
+            test_block_cache_write_during_read;
+          test_case "page reclaimed during a fill" `Quick
+            test_block_cache_page_reclaimed_during_fill;
         ] );
       ( "simple_fs",
         [
@@ -360,6 +525,9 @@ let () =
           test_case "many files" `Quick test_fs_many_files_listed;
           test_case "persists across mount" `Quick test_fs_persists_across_mount;
           test_case "mount rejects garbage" `Quick test_fs_mount_rejects_garbage;
+          test_case "one request per run" `Quick test_fs_one_request_per_run;
+          test_case "deferred sync is consistent" `Quick
+            test_fs_deferred_sync_is_consistent;
         ] );
       ( "file_cache",
         [
@@ -370,6 +538,10 @@ let () =
           test_case "invalidate" `Quick test_file_cache_invalidate;
           test_case "missing file" `Quick test_file_cache_missing_file;
           test_case "survives reclaim" `Quick test_file_cache_survives_reclaim;
+          test_case "concurrent misses" `Quick
+            test_file_cache_concurrent_misses;
+          test_case "invalidate during a miss" `Quick
+            test_file_cache_invalidate_during_miss;
           test_case "degrades without reclaim" `Quick
             test_caches_degrade_when_reclaim_disabled;
         ] );
