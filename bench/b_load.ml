@@ -20,6 +20,17 @@ module Sched = Spin_sched.Sched
 let requests_per_client = 20
 let latency_key = "load.request"
 
+(* Bytes allocated on the host so far. [Gc.allocated_bytes] is not
+   used: on OCaml 5 its minor-word count only advances at a minor
+   collection, so over a run of a few dozen requests it jumps by a
+   whole minor heap (2 MB) whenever one more collection falls inside.
+   [Gc.minor_words] is exact, and words allocated straight into the
+   major heap (blocks over 256 words, such as a 2 KB response) are
+   counted at allocation. *)
+let host_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 (* One ramp level: [clients] strands on the client host, each running
    a closed loop of connect / GET / drain / close against the server's
    cached 2 KB index.html. With [traced] the per-request latencies
@@ -49,10 +60,10 @@ let run_level ~clients ~traced =
       ignore (Sched.spawn client.Host.sched
                 ~name:(Printf.sprintf "client-%d" c) client_loop)
     done));
-  let host_alloc0 = Gc.allocated_bytes () in
+  let host_alloc0 = host_bytes () in
   Host.run_all [ client; server ];
   let alloc_per_req =
-    (Gc.allocated_bytes () -. host_alloc0) /. float_of_int total in
+    (host_bytes () -. host_alloc0) /. float_of_int total in
   let elapsed_us = !t_end -. !t_start in
   let rps =
     if elapsed_us > 0. then float_of_int total /. (elapsed_us /. 1e6)
@@ -124,9 +135,9 @@ let alloc_per_packet f =
   Bytes.set_uint16_le frame 0 0x0800;
   for _ = 1 to 256 do ignore (Sys.opaque_identity (f frame)) done;
   let iters = 20_000 in
-  let before = Gc.allocated_bytes () in
+  let before = host_bytes () in
   for _ = 1 to iters do ignore (Sys.opaque_identity (f frame)) done;
-  (Gc.allocated_bytes () -. before) /. float_of_int iters
+  (host_bytes () -. before) /. float_of_int iters
 
 let alloc_comparison () =
   Report.header

@@ -12,13 +12,18 @@ let rec find_root dir =
     let parent = Filename.dirname dir in
     if String.equal parent dir then None else find_root parent
 
-let source_files dir =
+(* Every .ml and .mli under [dir], subdirectories included (the
+   verifier lives in lib/core/ebc/ and counts toward sys). *)
+let rec source_files dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then []
   else
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-      Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
-    |> List.map (Filename.concat dir)
+    |> List.concat_map (fun f ->
+      let path = Filename.concat dir f in
+      if Sys.is_directory path then source_files path
+      else if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
+      then [ path ]
+      else [])
 
 let count_lines file =
   let ic = open_in file in

@@ -36,7 +36,9 @@ let respond t conn ~status ~body =
   let head =
     Printf.sprintf "HTTP/1.0 %s\r\nContent-Length: %d\r\n\r\n"
       status (Bytes.length body) in
-  Tcp.send t.tcp conn (Bytes.cat (Bytes.of_string head) body);
+  (* The FIN rides on the response's last segment; the close is then
+     a no-op unless the connection was in no state to send. *)
+  Tcp.send ~fin:true t.tcp conn (Bytes.cat (Bytes.of_string head) body);
   Tcp.close t.tcp conn
 
 (* Dynamic content is an event: extensions install generators on

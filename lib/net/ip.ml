@@ -172,6 +172,49 @@ let send t ?(ttl = 64) ?src ~dst ~proto payload =
         false
       end else transmit_on t netif pkt
 
+(* A burst's per-datagram IP work, in order: the charge, the trace
+   instant and the MTU check. Returns how many datagrams are too large
+   for the route. *)
+let rec charge_burst t ~src ~dst ~proto ~room oversize = function
+  | [] -> oversize
+  | payload :: rest ->
+    charge t;
+    if Trace.on t.tracer then
+      trace_pkt t "send" { src; dst; proto; ttl = 64; payload };
+    charge_burst t ~src ~dst ~proto ~room
+      (if Pkt.length payload > room then oversize + 1 else oversize) rest
+
+let rec push_burst ~src ~dst ~proto = function
+  | [] -> ()
+  | payload :: rest ->
+    push_headers payload ~src ~dst ~proto ~ttl:64;
+    push_burst ~src ~dst ~proto rest
+
+let rec send_each t ~dst ~proto sent = function
+  | [] -> sent
+  | payload :: rest ->
+    send_each t ~dst ~proto
+      (if send t ~dst ~proto payload then sent + 1 else sent) rest
+
+let send_burst t ~dst ~proto payloads =
+  match payloads with
+  | [] | [ _ ] -> send_each t ~dst ~proto 0 payloads
+  | _ :: _ :: _ ->
+    match route_toward t dst with
+    | None -> send_each t ~dst ~proto 0 payloads
+    | Some netif ->
+      let src = local_addr t in
+      let room = Netif.mtu netif - link_header - ip_header in
+      let oversize = charge_burst t ~src ~dst ~proto ~room 0 payloads in
+      let frames =
+        if oversize = 0 then payloads
+        else List.filter (fun p -> Pkt.length p <= room) payloads in
+      push_burst ~src ~dst ~proto frames;
+      let sent = Netif.transmit_burst netif frames in
+      t.s_sent <- t.s_sent + sent;
+      t.s_dropped <- t.s_dropped + oversize + (List.length frames - sent);
+      sent
+
 let send_bytes t ?ttl ?src ~dst ~proto payload =
   (* The application hand-off: one charged copy into a fresh buffer
      with header room, then the zero-copy path. *)

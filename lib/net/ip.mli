@@ -81,6 +81,15 @@ val send :
     [false] when no route exists or the datagram exceeds the route's
     MTU (no fragmentation). Local destinations loop back. *)
 
+val send_burst : t -> dst:addr -> proto:int -> Pkt.t list -> int
+(** [send] for several datagrams to one destination, from the local
+    address with the default TTL. Each keeps its own IP charge, trace
+    instant, MTU check and headers; the frames that fit then leave in
+    one {!Netif.transmit_burst}, which pays the driver overhead once.
+    A lone datagram, a local destination or a missing route falls back
+    to [send] per datagram. Consumes the packets; returns how many
+    were sent. *)
+
 val send_bytes :
   t -> ?ttl:int -> ?src:addr -> dst:addr -> proto:int -> Bytes.t -> bool
 (** [send] for callers holding plain bytes: one charged copy into a

@@ -61,8 +61,9 @@ type conn = {
   mutable snd_nxt : int;
   mutable snd_una : int;
   mutable rcv_nxt : int;
-  mutable inflight : unacked list;       (* oldest first *)
-  mutable pending : Pkt.t list;          (* send-buffer views beyond the window *)
+  inflight : unacked Queue.t;            (* oldest first *)
+  pending : Pkt.t Queue.t;               (* send-buffer views beyond the window *)
+  mutable filling : bool;                (* a burst is leaving; see [transmit] *)
   mutable rx_cb : (Bytes.t -> unit) option;
   rx_buf : Buffer.t;
   mutable reader : Spin_sched.Strand.t option;
@@ -161,7 +162,9 @@ let flags_to_string flags =
        (fun (bit, c) -> if flags land bit <> 0 then Some c else None)
        [ (flag_syn, "S"); (flag_ack, "A"); (flag_fin, "F"); (flag_rst, "R") ])
 
-let emit t conn ~seq ~flags data =
+(* One outgoing segment, encoded for IP: its protocol charge, its
+   trace instant and its wire copy. *)
+let segment t conn ~seq ~flags data =
   charge t;
   (match conn.delayed_ack with
    | Some h -> Sim.cancel t.machine.Machine.sim h; conn.delayed_ack <- None
@@ -184,9 +187,12 @@ let emit t conn ~seq ~flags data =
     Clock.charge t.machine.Machine.clock
       (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
          ~bytes:(Pkt.length data));
+  encode { sport = conn.l_port; dport = conn.r_port;
+           seq; ack = conn.rcv_nxt; flags; data }
+
+let emit t conn ~seq ~flags data =
   ignore (Ip.send t.ip ~dst:conn.r_addr ~proto:Ip.proto_tcp
-            (encode { sport = conn.l_port; dport = conn.r_port;
-                      seq; ack = conn.rcv_nxt; flags; data }))
+            (segment t conn ~seq ~flags data))
 
 let emit_raw t ~src ~dst seg =
   charge t;
@@ -200,31 +206,59 @@ let cancel_rto t conn =
   | Some h -> Sim.cancel t.machine.Machine.sim h; conn.rto <- None
   | None -> ()
 
+(* Put a segment on the retransmit queue and encode it. *)
+let queue_segment t conn ~flags data =
+  let u = { u_seq = conn.snd_nxt; u_flags = flags; u_data = data } in
+  conn.snd_nxt <- conn.snd_nxt + seg_len u;
+  Queue.add u conn.inflight;
+  segment t conn ~seq:u.u_seq ~flags data
+
+(* Queue the segment that carries the FIN: the close takes effect as
+   it is queued, and a retransmit resends it with the FIN still set. *)
+let queue_fin t conn data =
+  conn.fin_pending <- false;
+  conn.st <- (match conn.st with Close_wait -> Last_ack | _ -> Fin_wait);
+  queue_segment t conn ~flags:flag_fin data
+
+(* Every segment the window admits, oldest first. A pending FIN rides
+   on the last queued chunk, or goes alone when no data waits. *)
+let rec stage_window t conn =
+  if Queue.length conn.inflight >= window_segments then []
+  else if not (Queue.is_empty conn.pending) then begin
+    let chunk = Queue.take conn.pending in
+    let pkt =
+      if conn.fin_pending && Queue.is_empty conn.pending then
+        queue_fin t conn chunk
+      else queue_segment t conn ~flags:0 chunk in
+    pkt :: stage_window t conn
+  end else if conn.fin_pending then [ queue_fin t conn (Pkt.empty ()) ]
+  else []
+
 let rec arm_rto t conn =
   cancel_rto t conn;
-  if conn.inflight <> [] then
+  if not (Queue.is_empty conn.inflight) then
     conn.rto <- Some (Sim.after_us t.machine.Machine.sim rto_us (fun () ->
       conn.rto <- None;
       on_timeout t conn))
 
 and on_timeout t conn =
-  if conn.inflight <> [] && conn.st <> Closed then begin
+  if not (Queue.is_empty conn.inflight) && conn.st <> Closed then begin
     conn.retries <- conn.retries + 1;
     if conn.retries > max_retries then begin
       teardown t conn
     end else begin
-      (* Go-Back-N: resend everything outstanding. *)
-      List.iter
-        (fun u ->
-          t.s_rexmit <- t.s_rexmit + 1;
-          let tr = t.tracer in
-          if Trace.on tr then
-            Trace.instant tr ~cat:"tcp" ~name:"retransmit"
-              ~args:[ ("seq", string_of_int u.u_seq);
-                      ("retries", string_of_int conn.retries) ] ();
-          emit t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data)
-        conn.inflight;
-      arm_rto t conn
+      (* Go-Back-N: resend everything outstanding, as one burst. *)
+      let resend pkts u =
+        t.s_rexmit <- t.s_rexmit + 1;
+        let tr = t.tracer in
+        if Trace.on tr then
+          Trace.instant tr ~cat:"tcp" ~name:"retransmit"
+            ~args:[ ("seq", string_of_int u.u_seq);
+                    ("retries", string_of_int conn.retries) ] ();
+        segment t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data :: pkts in
+      transmit t conn
+        (List.rev (Queue.fold resend [] conn.inflight));
+      fill_window t conn
     end
   end
 
@@ -243,27 +277,26 @@ and teardown t conn =
    | Some s -> conn.opener <- None; Sched.unblock t.sched s
    | None -> ())
 
-let transmit_segment t conn ~flags data =
-  let u = { u_seq = conn.snd_nxt; u_flags = flags; u_data = data } in
-  conn.snd_nxt <- conn.snd_nxt + seg_len u;
-  conn.inflight <- conn.inflight @ [ u ];
-  emit t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data;
+(* Staged segments leave as one driver burst; the RTO is armed once,
+   after it. A loopback peer answers inside the send, and its acks
+   would refill the window there, ahead of the burst's tail: [filling]
+   holds those refills back until the burst is out. *)
+and transmit t conn pkts =
+  conn.filling <- true;
+  ignore (Ip.send_burst t.ip ~dst:conn.r_addr ~proto:Ip.proto_tcp pkts);
+  conn.filling <- false;
   if conn.rto = None then arm_rto t conn
 
 (* Push queued data into the window. *)
-let rec fill_window t conn =
-  if List.length conn.inflight < window_segments then
-    match conn.pending with
-    | chunk :: rest ->
-      conn.pending <- rest;
-      transmit_segment t conn ~flags:0 chunk;
-      fill_window t conn
-    | [] ->
-      if conn.fin_pending then begin
-        conn.fin_pending <- false;
-        transmit_segment t conn ~flags:flag_fin (Pkt.empty ());
-        conn.st <- (match conn.st with Close_wait -> Last_ack | _ -> Fin_wait)
-      end
+and fill_window t conn =
+  if not conn.filling && conn.st <> Closed then
+    match stage_window t conn with
+    | [] -> ()
+    | pkts -> transmit t conn pkts; fill_window t conn
+
+let transmit_syn t conn =
+  transmit t conn [ queue_segment t conn ~flags:flag_syn (Pkt.empty ()) ];
+  fill_window t conn
 
 (* ------------------------------------------------------------------ *)
 (* Receive path                                                       *)
@@ -288,12 +321,11 @@ let deliver_data t conn data =
 
 let handle_ack t conn ack =
   let advanced = ref false in
-  let rec drop = function
-    | u :: rest when u.u_seq + seg_len u <= ack ->
-      advanced := true;
-      drop rest
-    | l -> l in
-  conn.inflight <- drop conn.inflight;
+  while not (Queue.is_empty conn.inflight)
+        && (let u = Queue.peek conn.inflight in u.u_seq + seg_len u <= ack) do
+    ignore (Queue.take conn.inflight);
+    advanced := true
+  done;
   if !advanced then begin
     conn.snd_una <- max conn.snd_una ack;
     conn.retries <- 0;
@@ -346,8 +378,8 @@ let handle_established t conn seg =
       emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
     (* Out-of-order beyond rcv_nxt: dropped (Go-Back-N). *);
     (match conn.st with
-     | Last_ack when conn.inflight = [] -> teardown t conn
-     | Time_wait when conn.inflight = [] -> teardown t conn
+     | Last_ack when Queue.is_empty conn.inflight -> teardown t conn
+     | Time_wait when Queue.is_empty conn.inflight -> teardown t conn
      | _ -> ())
   end
 
@@ -377,7 +409,9 @@ let segment_arrived t seg src =
            | Some on_accept -> on_accept conn
            | None -> ()
          end;
-         if Pkt.length seg.data > 0 then handle_established t conn seg
+         (* A FIN on the handshake-completing segment closes too. *)
+         if Pkt.length seg.data > 0 || seg.flags land flag_fin <> 0 then
+           handle_established t conn seg
        end
      | Established | Fin_wait | Close_wait | Last_ack | Time_wait ->
        handle_established t conn seg
@@ -391,14 +425,15 @@ let segment_arrived t seg src =
         l_port = seg.dport; r_addr = src; r_port = seg.sport;
         st = Syn_received;
         snd_nxt = 0; snd_una = 0; rcv_nxt = seg.seq + 1;
-        inflight = []; pending = [];
+        inflight = Queue.create (); pending = Queue.create ();
+        filling = false;
         rx_cb = None; rx_buf = Buffer.create 256;
         reader = None; opener = None;
         retries = 0; rto = None; fin_pending = false;
         delayed_ack = None; unacked_rx = 0;
       } in
       Hashtbl.replace t.conns (conn.l_port, conn.r_addr, conn.r_port) conn;
-      transmit_segment t conn ~flags:flag_syn (Pkt.empty ())
+      transmit_syn t conn
     end else if seg.flags land flag_rst = 0 then begin
       (* No home for it: RST. *)
       t.s_rst <- t.s_rst + 1;
@@ -477,14 +512,15 @@ let connect t ~dst ~dst_port =
     l_port; r_addr = dst; r_port = dst_port;
     st = Syn_sent;
     snd_nxt = 0; snd_una = 0; rcv_nxt = 0;
-    inflight = []; pending = [];
+    inflight = Queue.create (); pending = Queue.create ();
+    filling = false;
     rx_cb = None; rx_buf = Buffer.create 256;
     reader = None; opener = None;
     retries = 0; rto = None; fin_pending = false;
     delayed_ack = None; unacked_rx = 0;
   } in
   Hashtbl.replace t.conns (l_port, dst, dst_port) conn;
-  transmit_segment t conn ~flags:flag_syn (Pkt.empty ());
+  transmit_syn t conn;
   (* Loopback handshakes complete synchronously inside the transmit;
      wakeups may be spurious, so wait until the state settles. *)
   while conn.st = Syn_sent do
@@ -494,33 +530,38 @@ let connect t ~dst ~dst_port =
   done;
   if conn.st = Established then Some conn else None
 
-(* Cut MSS-sized aliasing views directly out of the send buffer — no
-   per-segment copies, no repeated [Bytes.sub] of the shrinking tail. *)
-let chunk data =
+(* Cut MSS-sized aliasing views directly out of the send buffer onto
+   the pending queue — no per-segment copies, no repeated [Bytes.sub]
+   of the shrinking tail. *)
+let rec chunk pending data pos =
   let len = Pkt.length data in
-  let rec cut pos acc =
-    if pos >= len then List.rev acc
-    else
-      let n = min mss (len - pos) in
-      cut (pos + n) (Pkt.sub data ~pos ~len:n :: acc) in
-  cut 0 []
+  if pos < len then begin
+    let n = min mss (len - pos) in
+    Queue.add (Pkt.sub data ~pos ~len:n) pending;
+    chunk pending data (pos + n)
+  end
 
-let send_pkt t conn data =
+let enqueue t conn ~fin data =
   if conn.st = Established || conn.st = Close_wait then begin
-    if Pkt.length data > 0 then begin
-      conn.pending <- conn.pending @ chunk data;
+    (* BSD's MSG_EOF: the FIN is pending before the data is queued, so
+       it rides on the data's last segment. *)
+    if fin then conn.fin_pending <- true;
+    if Pkt.length data > 0 || fin then begin
+      chunk conn.pending data 0;
       fill_window t conn
     end
   end
 
-let send t conn data =
+let send_pkt t conn data = enqueue t conn ~fin:false data
+
+let send ?(fin = false) t conn data =
   (* Application hand-off: one charged copy of the whole send buffer;
      the window then transmits views of it. *)
   if Bytes.length data > 0 then
     Clock.charge t.machine.Machine.clock
       (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
          ~bytes:(Bytes.length data));
-  send_pkt t conn (Pkt.of_payload ~headroom:0 data)
+  enqueue t conn ~fin (Pkt.of_payload ~headroom:0 data)
 
 let on_receive conn cb =
   (* Drain anything buffered before switching to callback mode. *)

@@ -49,9 +49,15 @@ val connect : t -> dst:Ip.addr -> dst_port:int -> conn option
 (** Active open; blocks the calling strand until established, or
     [None] after the handshake retries give out. *)
 
-val send : t -> conn -> Bytes.t -> unit
+val send : ?fin:bool -> t -> conn -> Bytes.t -> unit
 (** Segments and queues the data; transmission respects the window
-    and retransmits on timeout. No-op on a closed connection.
+    and retransmits on timeout. No-op on a closed connection. Each
+    window fill leaves as one driver burst ({!Ip.send_burst}).
+
+    [~fin:true] (default [false]) is BSD's [MSG_EOF]: it also closes
+    the sending side, and the FIN rides on the data's last segment
+    instead of following in a frame of its own. A later {!close} is
+    a no-op.
 
     Application hand-off: the data is copied once (charged) into a
     private send buffer, and the window then transmits MSS-sized

@@ -317,6 +317,184 @@ let test_tcp_retransmission_on_loss () =
   check string "delivered" "data" (Buffer.contents received);
   check int "no spurious retransmits" 0 (Tcp.stats a.Host.tcp).Tcp.retransmits
 
+(* Every TCP segment [host] receives from [src], in arrival order, as
+   (flags, data bytes) — read off IP.PacketArrived by a second handler,
+   so segments the engine's demux filters away are seen too. *)
+let tcp_tap host ~src =
+  let log = ref [] in
+  ignore (Ip.attach host.Host.ip ~protos:[ Ip.proto_tcp ] ~installer:"tap"
+            (fun pkt ->
+              if pkt.Ip.src = src then
+                let seg = pkt.Ip.payload in
+                log := (Pkt.get_u8 seg 12, Pkt.get_u16_le seg 14) :: !log));
+  fun () -> List.rev !log
+
+let flag_fin = 4
+
+let has_fin (flags, _) = flags land flag_fin <> 0
+
+(* Make the [n]th segment [host]'s TCP sees on [port] vanish. *)
+let lose_nth host ~port n =
+  let seen = ref 0 in
+  Tcp.add_demux_filter host.Host.tcp (fun ~dport ~sport:_ ->
+    dport = port && (incr seen; !seen = n))
+
+let test_tcp_fin_on_handshake_ack () =
+  (* The client's pure handshake ACK is lost, so the FIN+ACK of an
+     immediate close completes the server's handshake. Its FIN must
+     not be dropped in SYN_RCVD: the server closes at once instead of
+     waiting 200 ms for the retransmit. *)
+  let _, a, b = two_hosts () in
+  let server_conn = ref None in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    server_conn := Some conn);
+  lose_nth b ~port:80 2;
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.close a.Host.tcp conn;
+      Sched.sleep_us a.Host.sched 5_000.;
+      check string "server saw the FIN" "CLOSE_WAIT"
+        (Tcp.state_to_string (Tcp.state (Option.get !server_conn)));
+      check int "client never retransmitted" 0
+        (Tcp.stats a.Host.tcp).Tcp.retransmits)
+
+let connected_pair ?kind ?latency_us ?cpus () =
+  let clock = Clock.create Cost.alpha_133 in
+  let sim = Sim.create clock in
+  let a = Host.create ?cpus sim ~name:"a" ~addr:addr_a in
+  let b = Host.create ?cpus sim ~name:"b" ~addr:addr_b in
+  ignore (Host.wire ?latency_us a b ~kind:(Option.value kind ~default:Nic.Lance));
+  (a, b)
+
+let test_tcp_send_fin_rides_last_segment () =
+  let a, b = connected_pair () in
+  let tap = tcp_tap b ~src:addr_a in
+  let received = Buffer.create 4096 in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (Buffer.add_bytes received));
+  let payload = Bytes.make 2_100 'x' in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      let before = (Tcp.stats a.Host.tcp).Tcp.segments_sent in
+      Tcp.send ~fin:true a.Host.tcp conn payload;
+      check int "three segments" 3
+        ((Tcp.stats a.Host.tcp).Tcp.segments_sent - before);
+      check string "closed for sending" "FIN_WAIT"
+        (Tcp.state_to_string (Tcp.state conn));
+      Tcp.close a.Host.tcp conn);
+  let data = List.filter (fun (_, len) -> len > 0) (tap ()) in
+  check (list int) "segment sizes" [ 1024; 1024; 52 ] (List.map snd data);
+  check (list bool) "only the last carries the FIN" [ false; false; true ]
+    (List.map has_fin data);
+  check int "no FIN of its own" 1 (List.length (List.filter has_fin (tap ())));
+  check int "body across" 2_100 (Buffer.length received)
+
+let test_tcp_window_fill_is_one_burst () =
+  (* A 1-CPU host on the T3: the three segments of one window fill pay
+     the driver's full transmit overhead once and its coalesced residue
+     twice. A long wire keeps every reply out of the measurement. *)
+  let a, b = connected_pair ~kind:Nic.T3 ~latency_us:10_000. ~cpus:1 () in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun _ -> ());
+  let sizes = [ 1024; 1024; 52 ] in
+  let total = List.fold_left ( + ) 0 sizes in
+  let clock = a.Host.machine.Machine.clock in
+  let copy bytes = Cost.copy_cycles (Clock.cost clock) ~bytes in
+  let spent = ref 0 and frames = ref 0 in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      let ip_before = (Ip.stats a.Host.ip).Ip.sent in
+      spent := Clock.stamp clock (fun () ->
+        Tcp.send a.Host.tcp conn (Bytes.make total 'x'));
+      frames := (Ip.stats a.Host.ip).Ip.sent - ip_before);
+  check int "three frames" 3 !frames;
+  (* Per segment: TCP 700 plus its wire copy, IP 420, DMA setup 500.
+     Per burst: T3 transmit 5800, then 5800 / 4 per later frame. *)
+  let per_segment len = 700 + copy len + 420 + 500 in
+  let expected =
+    copy total
+    + List.fold_left (fun acc len -> acc + per_segment len) 0 sizes
+    + 5800 + (2 * (5800 / 4)) in
+  check int "one full overhead, two coalesced" expected !spent
+
+let test_tcp_fin_waits_for_window () =
+  let a, b = connected_pair () in
+  let tap = tcp_tap b ~src:addr_a in
+  let received = Buffer.create 16384 in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (Buffer.add_bytes received));
+  let payload = Bytes.init (10 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      let before = (Tcp.stats a.Host.tcp).Tcp.segments_sent in
+      Tcp.send ~fin:true a.Host.tcp conn payload;
+      check int "one window's worth" 8
+        ((Tcp.stats a.Host.tcp).Tcp.segments_sent - before);
+      check string "FIN not yet queued" "ESTABLISHED"
+        (Tcp.state_to_string (Tcp.state conn));
+      Sched.sleep_us a.Host.sched 100_000.;
+      check string "FIN went with the tail" "FIN_WAIT"
+        (Tcp.state_to_string (Tcp.state conn)));
+  let data = List.filter (fun (_, len) -> len > 0) (tap ()) in
+  check int "ten data segments" 10 (List.length data);
+  check (list bool) "the FIN is on the tenth"
+    (List.init 10 (fun i -> i = 9)) (List.map has_fin data);
+  check int "no FIN of its own" 1 (List.length (List.filter has_fin (tap ())));
+  check bytes "in order and intact" payload (Buffer.to_bytes received)
+
+let test_tcp_lost_data_fin_retransmitted () =
+  (* The server sees SYN, ACK, then the data+FIN segment, which is
+     lost once. *)
+  let a, b = connected_pair () in
+  let tap = tcp_tap b ~src:addr_a in
+  let body = Buffer.create 64 and eofs = ref 0 in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    ignore (Sched.spawn b.Host.sched ~name:"reader" (fun () ->
+      let rec drain () =
+        let data = Tcp.read b.Host.tcp conn in
+        if Bytes.length data > 0 then begin
+          Buffer.add_bytes body data;
+          drain ()
+        end else incr eofs in
+      drain ())));
+  lose_nth b ~port:80 3;
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.send ~fin:true a.Host.tcp conn (Bytes.of_string "request body");
+      Sched.sleep_us a.Host.sched 500_000.);
+  check int "one retransmit" 1 (Tcp.stats a.Host.tcp).Tcp.retransmits;
+  check (list (pair int int)) "both copies carry the data and the FIN"
+    [ (flag_fin lor 2, 12); (flag_fin lor 2, 12) ]
+    (List.filter (fun (_, len) -> len > 0) (tap ()));
+  check string "body once" "request body" (Buffer.contents body);
+  check int "EOF once" 1 !eofs
+
+let test_tcp_loopback_window_fills_in_order () =
+  (* On loopback the peer acks inside the sender's burst; the window
+     it reopens must not be refilled ahead of the burst's tail. *)
+  let a, _ = connected_pair () in
+  let received = Buffer.create 32768 in
+  Tcp.listen a.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (Buffer.add_bytes received));
+  let payload = Bytes.init 20_000 (fun i -> Char.chr (i * 7 land 0xff)) in
+  in_strand [ a ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_a ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.send ~fin:true a.Host.tcp conn payload;
+      Sched.sleep_us a.Host.sched 500_000.);
+  check bytes "in order and intact" payload (Buffer.to_bytes received);
+  check int "no retransmits" 0 (Tcp.stats a.Host.tcp).Tcp.retransmits
+
 (* ------------------------------------------------------------------ *)
 (* Active messages and RPC                                            *)
 (* ------------------------------------------------------------------ *)
@@ -721,6 +899,16 @@ let () =
           test_case "large transfer" `Quick test_tcp_large_transfer_segments;
           test_case "teardown states" `Quick test_tcp_teardown_states;
           test_case "no spurious retransmits" `Quick test_tcp_retransmission_on_loss;
+          test_case "FIN on the handshake ACK" `Quick test_tcp_fin_on_handshake_ack;
+          test_case "send ~fin rides the last segment" `Quick
+            test_tcp_send_fin_rides_last_segment;
+          test_case "window fill is one burst" `Quick
+            test_tcp_window_fill_is_one_burst;
+          test_case "FIN waits for the window" `Quick test_tcp_fin_waits_for_window;
+          test_case "lost data+FIN retransmitted" `Quick
+            test_tcp_lost_data_fin_retransmitted;
+          test_case "loopback window fills in order" `Quick
+            test_tcp_loopback_window_fills_in_order;
         ] );
       ( "am_rpc",
         [
