@@ -80,8 +80,10 @@ let fast_path () =
       (fun () -> ()) in
   (* Any guard forces the dispatcher to take an active role. *)
   ignore (Dispatcher.remove_primary slow ~requester:"A" |> ignore;
-          Dispatcher.install_exn slow ~installer:"A" ~guard:(fun () -> true)
-            (fun () -> ()));
+          Dispatcher.ok_exn
+            (Dispatcher.install slow ~installer:"A"
+               ~spec:(Dispatcher.Handler_spec.guarded (fun () -> true))
+               (fun () -> ())));
   let f = Kernel.stamp_us k (fun () -> Dispatcher.raise_event fast ()) in
   let s = Kernel.stamp_us k (fun () -> Dispatcher.raise_event slow ()) in
   Printf.printf "  single unguarded handler (procedure call): %5.2f us\n" f;
@@ -94,8 +96,11 @@ let fast_path () =
           ~name:(Printf.sprintf "A.N%d" n) ~owner:"A"
           ~combine:(fun _ -> ()) (fun () -> ()) in
       for _ = 1 to n do
-        ignore (Dispatcher.install_exn e ~installer:"w" ~guard:(fun () -> true)
-                  (fun () -> ()))
+        ignore
+          (Dispatcher.ok_exn
+             (Dispatcher.install e ~installer:"w"
+                ~spec:(Dispatcher.Handler_spec.guarded (fun () -> true))
+                (fun () -> ())))
       done;
       let us = Kernel.stamp_us k (fun () -> Dispatcher.raise_event e ()) in
       Printf.printf "    %4d handlers: %8.1f us\n" n us)
@@ -115,17 +120,21 @@ let guards () =
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let hits = Array.make protocols 0 in
   for p = 0 to protocols - 1 do
-    ignore (Dispatcher.install_exn guarded ~installer:"proto"
-              ~guard:(fun proto -> proto = p)
-              (fun _ -> hits.(p) <- hits.(p) + 1))
+    ignore
+      (Dispatcher.ok_exn
+         (Dispatcher.install guarded ~installer:"proto"
+            ~spec:(Dispatcher.Handler_spec.guarded (fun proto -> proto = p))
+            (fun _ -> hits.(p) <- hits.(p) + 1)))
   done;
   (* Unguarded: every handler runs and tests the protocol itself. *)
   let unguarded = Dispatcher.declare k.Kernel.dispatcher ~name:"A.U" ~owner:"A"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let hits' = Array.make protocols 0 in
   for p = 0 to protocols - 1 do
-    ignore (Dispatcher.install_exn unguarded ~installer:"proto"
-              (fun proto -> if proto = p then hits'.(p) <- hits'.(p) + 1))
+    ignore
+      (Dispatcher.ok_exn
+         (Dispatcher.install unguarded ~installer:"proto" (fun proto ->
+              if proto = p then hits'.(p) <- hits'.(p) + 1)))
   done;
   let g = Kernel.stamp_us k (fun () ->
     for p = 0 to protocols - 1 do Dispatcher.raise_event guarded p done) in
@@ -154,17 +163,20 @@ let indexed_dispatch () =
           ~name:(Printf.sprintf "L%d" n) ~owner:"A"
           ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
       for p = 0 to n - 1 do
-        ignore (Dispatcher.install_exn linear ~installer:"svc"
-                  ~guard:(fun x -> x = p) (fun _ -> ()))
+        ignore
+          (Dispatcher.ok_exn
+             (Dispatcher.install linear ~installer:"svc"
+                ~spec:(Dispatcher.Handler_spec.guarded (fun x -> x = p))
+                (fun _ -> ())))
       done;
       let indexed = Dispatcher.declare k.Kernel.dispatcher
           ~name:(Printf.sprintf "I%d" n) ~owner:"A"
           ~combine:(fun _ -> ()) ~index:(fun x -> x) (fun (_ : int) -> ()) in
       for p = 0 to n - 1 do
-        match Dispatcher.install_indexed indexed ~installer:"svc" ~key:p
-                (fun _ -> ()) with
-        | Ok _ -> ()
-        | Error _ -> () 
+        ignore
+          (Dispatcher.ok_exn
+             (Dispatcher.install indexed ~installer:"svc"
+                ~spec:(Dispatcher.Handler_spec.indexed p) (fun _ -> ())))
       done;
       let l = Kernel.stamp_us k (fun () -> Dispatcher.raise_event linear (n - 1)) in
       let i = Kernel.stamp_us k (fun () -> Dispatcher.raise_event indexed (n - 1)) in
@@ -195,8 +207,12 @@ let little_language () =
   let guarded = Dispatcher.declare k.Kernel.dispatcher ~name:"F.G" ~owner:"F"
       ~combine:(fun _ -> ()) (fun (_ : Spin_net.Pkt.t) -> ()) in
   for p = 0 to endpoints - 1 do
-    ignore (Dispatcher.install_exn guarded ~installer:"svc"
-              ~guard:(fun pkt -> port_of pkt = p) (fun _ -> ()))
+    ignore
+      (Dispatcher.ok_exn
+         (Dispatcher.install guarded ~installer:"svc"
+            ~spec:
+              (Dispatcher.Handler_spec.guarded (fun pkt -> port_of pkt = p))
+            (fun _ -> ())))
   done;
   (* (b) interpreted filters, evaluated by a demux handler *)
   let programs =
@@ -210,9 +226,10 @@ let little_language () =
   let indexed = Dispatcher.declare k.Kernel.dispatcher ~name:"F.I" ~owner:"F"
       ~combine:(fun _ -> ()) ~index:port_of (fun (_ : Spin_net.Pkt.t) -> ()) in
   for p = 0 to endpoints - 1 do
-    (match Dispatcher.install_indexed indexed ~installer:"svc" ~key:p
-             (fun _ -> ()) with
-     | Ok _ -> () | Error _ -> ())
+    ignore
+      (Dispatcher.ok_exn
+         (Dispatcher.install indexed ~installer:"svc"
+            ~spec:(Dispatcher.Handler_spec.indexed p) (fun _ -> ())))
   done;
   let pkt = frame (endpoints - 1) in
   let g = Kernel.stamp_us k (fun () -> Dispatcher.raise_event guarded pkt) in

@@ -46,15 +46,16 @@ let webgen ~version http =
     | None -> ()
     | Some ev ->
       ignore
-        (Dispatcher.install_exn ev ~installer:"WebGen" (fun path ->
-           if String.equal path "live" then begin
-             incr served;
-             Some
-               (Bytes.of_string
-                  (Printf.sprintf "generation %d, request %d\n" version
-                     !served))
-           end
-           else None)));
+        (Dispatcher.ok_exn
+           (Dispatcher.install ev ~installer:"WebGen" (fun path ->
+                if String.equal path "live" then begin
+                  incr served;
+                  Some
+                    (Bytes.of_string
+                       (Printf.sprintf "generation %d, request %d\n" version
+                          !served))
+                end
+                else None))));
   Object_file.Builder.export b Swap.checkpoint_sym
     (Univ.pack Swap.checkpoint_tag (fun () -> Univ.pack state_tag !served));
   Object_file.Builder.export b Swap.restore_sym

@@ -46,21 +46,16 @@ let fixture () =
    | Error `Denied -> assert false);
   (clock, e)
 
-let must = function
-  | Ok h -> h
-  | Error err ->
-    failwith ("b_verifier install: " ^ Dispatcher.install_error_to_string err)
-
 let install_guarded e port =
   ignore
-    (must
+    (Dispatcher.ok_exn
        (Dispatcher.install e ~installer:"bench"
           ~spec:(Dispatcher.Handler_spec.guarded (fun p -> p.port = port))
           (fun _ -> ())))
 
 let install_verified e port =
   ignore
-    (must
+    (Dispatcher.ok_exn
        (Dispatcher.install e ~installer:"bench"
           ~spec:
             (Dispatcher.Handler_spec.verified (Ebc.match_field ~slot:0 port))
@@ -120,13 +115,13 @@ let filter_cycles ~compiled =
        | Ok p -> p
        | Error why -> failwith ("b_verifier to_ebc: " ^ why) in
      ignore
-       (must
+       (Dispatcher.ok_exn
           (Dispatcher.install e ~installer:"bench"
              ~spec:(Dispatcher.Handler_spec.verified prog)
              (fun _ -> ())))
    else
      ignore
-       (must
+       (Dispatcher.ok_exn
           (Dispatcher.install e ~installer:"bench"
              ~spec:
                (Dispatcher.Handler_spec.guarded (fun pkt ->

@@ -509,43 +509,10 @@ let install e ~installer ?(spec = Handler_spec.default) fn =
          replan e;
          Ok h)
 
-(* Deprecated shims (one release): the optional-argument entry points,
-   re-expressed over the spec record. *)
-
-let spec_of ?guard ?bound_cycles ?(async = false) ?(on_failure = Uninstall)
-    ?index_key () =
-  { Handler_spec.default with Handler_spec.guard; bound_cycles; async;
-    on_failure; index_key }
-
-let install_exn e ~installer ?guard ?bound_cycles ?async ?on_failure fn =
-  match
-    install e ~installer ~spec:(spec_of ?guard ?bound_cycles ?async ?on_failure ())
-      fn
-  with
+let ok_exn = function
   | Ok h -> h
   | Error err ->
-    invalid_arg
-      (Printf.sprintf "Dispatcher: %s rejected a handler from %s (%s)" e.e_name
-         installer (install_error_to_string err))
-
-let install_indexed e ~installer ~key ?bound_cycles ?async ?on_failure fn =
-  match
-    install e ~installer
-      ~spec:(spec_of ?bound_cycles ?async ?on_failure ~index_key:key ()) fn
-  with
-  | Ok h -> Ok h
-  | Error No_index -> Error `No_index
-  | Error _ -> Error `Denied
-
-let install_with_closure e ~installer ~closure ?guard ?bound_cycles ?async
-    ?on_failure fn =
-  let guard = Option.map (fun g -> g closure) guard in
-  match
-    install e ~installer ~spec:(spec_of ?guard ?bound_cycles ?async ?on_failure ())
-      (fn closure)
-  with
-  | Ok h -> Ok h
-  | Error _ -> Error `Denied
+    invalid_arg ("Dispatcher.install: " ^ install_error_to_string err)
 
 (* Stacking a closure guard on a trusted handler forfeits the trusted
    path: the compiled predicate demotes to the front of the guard

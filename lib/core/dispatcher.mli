@@ -25,8 +25,8 @@
     and invokes the handler with zero per-event safety checks (no
     guard-stack interpretation, no overrun stamping), the runtime
     checks having been discharged once at install. Installation goes
-    through a single entry point taking a {!Handler_spec.t}; the old
-    optional-argument entry points remain as deprecated shims. *)
+    through a single entry point, {!install}, taking a
+    {!Handler_spec.t}. *)
 
 type t
 (** A dispatcher instance (one per kernel). *)
@@ -131,6 +131,14 @@ module Handler_spec : sig
   val guarded : ('a -> bool) -> 'a t
   val bounded : int -> 'a t
   val indexed : int -> 'a t
+  (** The optimization section 5.5 leaves as future work
+      ("representing guard predicates as decision trees"): when the
+      event was declared with an [index] function, a handler
+      installed under a key is found by hashing the raised argument's
+      index instead of walking a linear guard list — equality guards
+      in O(1). Installing under a key on an event without an index
+      fails with [No_index]. *)
+
   val verified : ?caps:Ebc.cap_slot array -> Ebc.program -> 'a t
 
   (** Type-erased per-handler view, enumerable through the dispatcher
@@ -241,53 +249,18 @@ val install :
     linked in — a rejection installs nothing and returns [Rejected].
     On success the handler takes the trusted-fast path, unless a
     closure guard or bound was also requested, in which case the
-    compiled program demotes to an ordinary guard. Closure
-    pre-application (the old [install_with_closure]) is expressed by
-    partially applying [fn]. *)
+    compiled program demotes to an ordinary guard.
 
-val install_exn :
-  ('a, 'r) event ->
-  installer:string ->
-  ?guard:('a -> bool) ->
-  ?bound_cycles:int ->
-  ?async:bool ->
-  ?on_failure:failure_policy ->
-  ('a -> 'r) ->
-  ('a, 'r) handler
-(** @deprecated Shim over {!install} + {!Handler_spec} (one release);
-    raises [Invalid_argument] on any install error. *)
-
-val install_indexed :
-  ('a, 'r) event ->
-  installer:string ->
-  key:int ->
-  ?bound_cycles:int ->
-  ?async:bool ->
-  ?on_failure:failure_policy ->
-  ('a -> 'r) ->
-  (('a, 'r) handler, [ `Denied | `No_index ]) result
-(** The optimization section 5.5 leaves as future work ("representing
-    guard predicates as decision trees"): when the event was declared
-    with an [index] function, handlers registered under a key are
-    found by hashing the raised argument's index instead of walking a
-    linear guard list — equality guards in O(1).
-    @deprecated Shim over {!install} with [Handler_spec.indexed]. *)
-
-val install_with_closure :
-  ('a, 'r) event ->
-  installer:string ->
-  closure:'c ->
-  ?guard:('c -> 'a -> bool) ->
-  ?bound_cycles:int ->
-  ?async:bool ->
-  ?on_failure:failure_policy ->
-  ('c -> 'a -> 'r) ->
-  (('a, 'r) handler, [ `Denied ]) result
-(** The paper's footnote 1: "the dispatcher also allows a handler to
+    The paper's footnote 1 — "the dispatcher also allows a handler to
     specify an additional closure to be passed to the handler during
     event processing", letting one handler procedure serve several
-    contexts. The closure is passed to the guard as well.
-    @deprecated Shim over {!install}: partially apply the closure. *)
+    contexts — is partial application: install [fn ctx], with the
+    guard [g ctx] in the spec. *)
+
+val ok_exn : (('a, 'r) handler, install_error) result -> ('a, 'r) handler
+(** Unwraps an install result for callers that cannot continue
+    without the handler; raises [Invalid_argument] carrying
+    {!install_error_to_string} otherwise. *)
 
 val add_guard : ('a, 'r) handler -> ('a -> bool) -> unit
 (** Stacks one more guard on a handler (conjunction). On a trusted

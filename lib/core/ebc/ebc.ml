@@ -509,20 +509,6 @@ let match_field_any ~slot vs =
     Array.of_list
       ((Ldf (0, slot) :: Ldi (1, v0) :: Eq (2, 0, 1) :: body) @ [ Ret 2 ])
 
-let match_string ?(prefix = false) s =
-  let n = String.length s in
-  let fail = [ Ldi (0, 0); Ret 0 ] in
-  let len_check =
-    if prefix then []
-    else [ Len 0; Ldi (1, n); Eq (2, 0, 1); Jnz (2, 2) ] @ fail in
-  let char_checks =
-    List.concat_map
-      (fun i ->
-        [ Ldb (0, i); Ldi (1, Char.code s.[i]); Eq (2, 0, 1); Jnz (2, 2) ]
-        @ fail)
-      (List.init n Fun.id) in
-  Array.of_list (len_check @ char_checks @ [ Ldi (0, 1); Ret 0 ])
-
 (* Bytecode as a first-class export: programs travel through object
    files like any other typed symbol. *)
 

@@ -176,9 +176,6 @@ val match_field : slot:int -> int -> program
 val match_field_any : slot:int -> int list -> program
 (** [field slot ∈ vs] (constant-false program when [vs] is empty). *)
 
-val match_string : ?prefix:bool -> string -> program
-(** Payload equals the string ([?prefix] drops the length check). *)
-
 (** {2 Verified object files}
 
     Bytecode travels through domains like any other export: packed

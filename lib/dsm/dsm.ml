@@ -311,16 +311,17 @@ let create vm host ~manager =
     Rpc.export host.Host.rpc ~name:"dsm.write" (with_src serve_write)
   end;
   (* Fault handlers, guarded to our regions. *)
+  let ours =
+    Dispatcher.Handler_spec.guarded (fun f ->
+        Option.is_some (region_of_fault t f)) in
   ignore
-    (Dispatcher.install_exn (Translation.page_not_present vm.Vm.trans)
-       ~installer:owner_name
-       ~guard:(fun f -> Option.is_some (region_of_fault t f))
-       (handle_not_present t));
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Translation.page_not_present vm.Vm.trans)
+          ~installer:owner_name ~spec:ours (handle_not_present t)));
   ignore
-    (Dispatcher.install_exn (Translation.protection_fault vm.Vm.trans)
-       ~installer:owner_name
-       ~guard:(fun f -> Option.is_some (region_of_fault t f))
-       (handle_protection t));
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Translation.protection_fault vm.Vm.trans)
+          ~installer:owner_name ~spec:ours (handle_protection t)));
   t
 
 let attach t ctx ~region_id ~pages =

@@ -92,14 +92,15 @@ let create ?(capacity_blocks = 2048) ?(owner = "BlockCache") ~phys
      already one of our pages, substitute the coldest one instead so
      the hot end of the cache survives. *)
   ignore
-    (Dispatcher.install_exn (Phys_addr.reclaim_event phys)
-       ~installer:owner
-       ~guard:(fun candidate ->
-         Lru.length t.cache > 0
-         && (match Phys_addr.page_owner candidate with
-             | Some o -> String.equal o owner
-             | None -> false))
-       (fun _candidate -> coldest_page t));
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Phys_addr.reclaim_event phys) ~installer:owner
+          ~spec:
+            (Dispatcher.Handler_spec.guarded (fun candidate ->
+                 Lru.length t.cache > 0
+                 && (match Phys_addr.page_owner candidate with
+                     | Some o -> String.equal o owner
+                     | None -> false)))
+          (fun _candidate -> coldest_page t)));
   Phys_addr.add_invalidate phys (forget t);
   t
 

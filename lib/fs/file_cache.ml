@@ -75,14 +75,15 @@ let create ?(capacity_bytes = 4 * 1024 * 1024) ?(large_threshold = 64 * 1024)
         reclaim_count = 0; degraded_count = 0 } in
   let t = Lazy.force t in
   ignore
-    (Dispatcher.install_exn (Phys_addr.reclaim_event phys)
-       ~installer:owner
-       ~guard:(fun candidate ->
-         Lru.length t.cache > 0
-         && (match Phys_addr.page_owner candidate with
-             | Some o -> String.equal o owner
-             | None -> false))
-       (fun _candidate -> coldest_page t));
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Phys_addr.reclaim_event phys) ~installer:owner
+          ~spec:
+            (Dispatcher.Handler_spec.guarded (fun candidate ->
+                 Lru.length t.cache > 0
+                 && (match Phys_addr.page_owner candidate with
+                     | Some o -> String.equal o owner
+                     | None -> false)))
+          (fun _candidate -> coldest_page t)));
   Phys_addr.add_invalidate phys (forget t);
   t
 

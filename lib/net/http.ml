@@ -4,8 +4,6 @@ module Trace = Spin_machine.Trace
 module Sched = Spin_sched.Sched
 module File_cache = Spin_fs.File_cache
 module Dispatcher = Spin_core.Dispatcher
-module Ebc = Spin_core.Ebc
-module Ty = Spin_core.Ty
 
 type t = {
   machine : Machine.t;
@@ -94,23 +92,11 @@ let handle_request t conn request =
     | exception exn -> Trace.end_span tr sp; raise exn
   end
 
-(* The bytecode view of a request: the path is the payload (a string
-   is immutable; the unsafe cast is a read-only view, never written),
-   its length the single typed field. Routing predicates compile to
-   [Ebc.match_string] over this layout. *)
-let content_layout : string Ebc.layout =
-  Ebc.layout ~name:"HTTP.GenContent"
-    ~fields:[ ("len", Ty.Int) ]
-    ~read:(fun path _ -> String.length path)
-    ~payload:(fun path -> (Bytes.unsafe_of_string path, 0, String.length path))
-    ()
-
 let create ?(port = 80) ?dispatcher machine sched tcp cache =
   let content =
     Option.map
       (fun d ->
         Dispatcher.declare d ~name:"HTTP.GenContent" ~owner:"HTTP"
-          ~layout:content_layout
           (fun (_ : string) -> None))
       dispatcher in
   let t = {
@@ -139,40 +125,6 @@ let create ?(port = 80) ?dispatcher machine sched tcp cache =
 let port t = t.port
 
 let content_event t = t.content
-
-(* The router: the path predicate compiles to bytecode and verifies at
-   install, so route matching dispatches trusted-fast — the generator
-   body runs only on its own paths, and no guard stack is walked per
-   request. Routes with a runtime bound, or the (theoretical) case of
-   a path too long to compile, install the same predicate as a
-   closure guard. *)
-let install_route t ~installer ?(prefix = false) ?(spec = Dispatcher.Handler_spec.default)
-    ~path handler =
-  match t.content with
-  | None -> None
-  | Some ev ->
-    let closure_guard req =
-      if prefix then
-        String.length req >= String.length path
-        && String.sub req 0 (String.length path) = path
-      else req = path in
-    let closure_install () =
-      Dispatcher.install_exn ev ~installer
-        ?bound_cycles:spec.Dispatcher.Handler_spec.bound_cycles
-        ~async:spec.Dispatcher.Handler_spec.async
-        ~on_failure:spec.Dispatcher.Handler_spec.on_failure
-        ~guard:closure_guard handler in
-    match spec.Dispatcher.Handler_spec.bound_cycles with
-    | Some _ -> Some (closure_install ())
-    | None ->
-      let prog = Ebc.match_string ~prefix path in
-      (match
-         Dispatcher.install ev ~installer
-           ~spec:{ spec with Dispatcher.Handler_spec.verified = Some prog }
-           handler
-       with
-       | Ok h -> Some h
-       | Error _ -> Some (closure_install ()))
 
 let set_fallback t body = t.fallback <- Some body
 

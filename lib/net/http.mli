@@ -28,27 +28,6 @@ val content_event :
     gracefully degrades to the static fallback page instead of
     dying. *)
 
-val content_layout : string Spin_core.Ebc.layout
-(** The bytecode view of a request published on [HTTP.GenContent]:
-    the path string is the payload, its length the single typed
-    field. *)
-
-val install_route :
-  t -> installer:string -> ?prefix:bool ->
-  ?spec:string Spin_core.Dispatcher.Handler_spec.t -> path:string ->
-  (string -> Bytes.t option) ->
-  (string, Bytes.t option) Spin_core.Dispatcher.handler option
-(** Installs a content generator behind a verified route predicate:
-    the path match ([= path], or [path] as a prefix with
-    [~prefix:true]) compiles to {!Spin_core.Ebc.match_string},
-    verifies at install, and dispatches on the trusted-fast path —
-    per-request routing walks no guard stack. [?spec] supplies
-    policy/async; a spec with [bound_cycles] keeps the per-event
-    policing the trusted path forgoes, so that case (and any
-    verification failure) installs the same predicate as a closure
-    guard. [None] when the server was created without a
-    dispatcher. *)
-
 val set_fallback : t -> Bytes.t -> unit
 (** Static error page served with [503 Service Unavailable] when a
     path misses both the file cache and every content generator

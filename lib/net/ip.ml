@@ -254,9 +254,6 @@ let input t frame =
     if is_local t dst then deliver t pkt else forward t pkt
   end
 
-let frame_is_ip frame =
-  Pkt.length frame >= link_header && Pkt.get_u16_le frame 0 = ethertype_ip
-
 (* The ethertype check as bytecode: a short-frame [Ldw] reads 0, which
    is not the ethertype, so the length test is implied. *)
 let frame_is_ip_prog =
@@ -264,14 +261,9 @@ let frame_is_ip_prog =
 
 let add_interface t netif ~addr =
   t.ifaces <- t.ifaces @ [ { netif; addr } ];
-  match Netif.add_filter netif ~installer:"IP" frame_is_ip_prog
-          (fun frame -> input t frame) with
-  | Ok _ -> ()
-  | Error _ ->
-    ignore
-      (Dispatcher.install_exn (Netif.rx_event netif) ~installer:"IP"
-         ~guard:frame_is_ip
-         (fun frame -> input t frame))
+  ignore
+    (Dispatcher.ok_exn
+       (Netif.add_filter netif ~installer:"IP" frame_is_ip_prog (input t)))
 
 let add_route t ~dst netif = t.routes <- (dst, netif) :: t.routes
 
@@ -279,21 +271,15 @@ let add_route t ~dst netif = t.routes <- (dst, netif) :: t.routes
    PacketArrived event, upon each installation constructs a guard that
    compares the type field in the header of the incoming packet
    against the set of IP protocol types that the handler may
-   service." The guard is now constructed as bytecode and verified at
-   install, so protocol demux dispatches trusted-fast; if verification
-   fails (it cannot, for this generated shape, but the fallback keeps
-   the facade total) the same predicate installs as a closure guard. *)
+   service." The guard is constructed as bytecode and verified at
+   install, so protocol demux dispatches trusted-fast. *)
 let attach t ~protos ~installer handler =
-  let prog = Ebc.match_field_any ~slot:proto_slot protos in
-  match
-    Dispatcher.install t.event ~installer
-      ~spec:(Dispatcher.Handler_spec.verified prog) handler
-  with
-  | Ok h -> h
-  | Error _ ->
-    Dispatcher.install_exn t.event ~installer
-      ~guard:(fun pkt -> List.mem pkt.proto protos)
-      handler
+  Dispatcher.ok_exn
+    (Dispatcher.install t.event ~installer
+       ~spec:
+         (Dispatcher.Handler_spec.verified
+            (Ebc.match_field_any ~slot:proto_slot protos))
+       handler)
 
 let stats t = {
   received = t.s_received;

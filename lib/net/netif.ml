@@ -71,11 +71,9 @@ let rx_event t = t.rx_event
 (* Install a verified packet filter on the receive path: the program
    is checked at install time and dispatches trusted-fast, with zero
    per-frame guard or bound checks. Rejections install nothing. *)
-let add_filter t ~installer ?(spec = Dispatcher.Handler_spec.default) program
-    handler =
+let add_filter t ~installer program handler =
   Dispatcher.install t.rx_event ~installer
-    ~spec:{ spec with Dispatcher.Handler_spec.verified = Some program }
-    handler
+    ~spec:(Dispatcher.Handler_spec.verified program) handler
 
 let name t = t.name
 

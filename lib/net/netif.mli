@@ -60,7 +60,6 @@ val rx_event : t -> (Pkt.t, unit) Spin_core.Dispatcher.event
 val add_filter :
   t ->
   installer:string ->
-  ?spec:Pkt.t Spin_core.Dispatcher.Handler_spec.t ->
   Spin_core.Ebc.program ->
   (Pkt.t -> unit) ->
   ((Pkt.t, unit) Spin_core.Dispatcher.handler,
@@ -68,10 +67,8 @@ val add_filter :
 (** Installs a verified packet filter on the receive path: [program]
     is checked once at install (against the frame layout) and then
     runs as the handler's trusted predicate with zero per-frame
-    checks. A program that fails verification installs nothing — the
-    caller decides whether to fall back to a closure guard (e.g. via
-    [Pkt_filter.run_view]). [?spec] supplies policy/async/bound; its
-    [verified] field is overwritten with [program]. *)
+    checks. A program that fails verification installs nothing and
+    returns [Rejected]. *)
 
 val name : t -> string
 

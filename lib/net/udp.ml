@@ -85,25 +85,20 @@ let packet_arrived t = t.event
    verified bytecode when no runtime bound was requested, so port
    demux dispatches trusted-fast. A caller asking for [bound_cycles]
    wants the handler body policed per event, which is exactly what the
-   trusted path forgoes: that case (and any verification failure)
-   installs the closure guard instead. *)
-let listen ?bound_cycles ?async ?on_failure t ~port ~installer handler =
-  let closure_install () =
-    Dispatcher.install_exn t.event ~installer ?bound_cycles ?async ?on_failure
-      ~guard:(fun d -> d.dst_port = port)
-      handler in
-  match bound_cycles with
-  | Some _ -> closure_install ()
-  | None ->
-    let spec =
-      { (Dispatcher.Handler_spec.verified
-           (Ebc.match_field ~slot:dst_port_slot port))
-        with Dispatcher.Handler_spec.async = Option.value async ~default:false;
-             on_failure =
-               Option.value on_failure ~default:Dispatcher.Uninstall } in
-    (match Dispatcher.install t.event ~installer ~spec handler with
-     | Ok h -> h
-     | Error _ -> closure_install ())
+   trusted path forgoes: that case installs a closure guard instead. *)
+let listen ?bound_cycles ?(async = false) ?(on_failure = Dispatcher.Uninstall)
+    t ~port ~installer handler =
+  let spec : datagram Dispatcher.Handler_spec.t =
+    match bound_cycles with
+    | Some _ ->
+      { (Dispatcher.Handler_spec.guarded (fun d -> d.dst_port = port)) with
+        bound_cycles }
+    | None ->
+      Dispatcher.Handler_spec.verified
+        (Ebc.match_field ~slot:dst_port_slot port) in
+  Dispatcher.ok_exn
+    (Dispatcher.install t.event ~installer
+       ~spec:{ spec with async; on_failure } handler)
 
 let unlisten t h = Dispatcher.uninstall t.event h
 

@@ -686,17 +686,11 @@ let set_affinity t s affinity =
   | Some _ | None -> ()
 
 let install_handler_guarded event ~installer ~cap fn =
-  match
-    Dispatcher.install event ~installer
-      ~spec:(Dispatcher.Handler_spec.guarded (fun s ->
-                 Strand.holds_capability cap s))
-      fn
-  with
-  | Ok h -> h
-  | Error err ->
-    invalid_arg
-      (Printf.sprintf "Sched.install_handler_guarded: %s"
-         (Dispatcher.install_error_to_string err))
+  Dispatcher.ok_exn
+    (Dispatcher.install event ~installer
+       ~spec:(Dispatcher.Handler_spec.guarded (fun s ->
+                  Strand.holds_capability cap s))
+       fn)
 
 let stats t = {
   switches = t.s_switches;

@@ -128,19 +128,6 @@ val hot_swap :
     externalized references minted by the old instance are revoked by
     epoch. See {!Swap} for the protocol and failure modes. *)
 
-val install :
-  t -> ('a, 'r) Spin_core.Dispatcher.event -> installer:string ->
-  ?domain:string -> ?spec:'a Spin_core.Dispatcher.Handler_spec.t ->
-  ('a -> 'r) ->
-  (('a, 'r) Spin_core.Dispatcher.handler,
-   Spin_core.Dispatcher.install_error) result
-(** {!Spin_core.Dispatcher.install} with the supervisor wired in: the
-    installer is attributed to [domain] (default: itself) in the fault
-    ledger before the handler goes live, so the spec's [on_failure]
-    policy, hot-swap gating, and quarantine sweeps all see the same
-    domain. The spec's [verified] bytecode, if any, is checked at
-    install and dispatches trusted-fast. *)
-
 val attach_fuzz :
   ?mean_period:int -> seed:int -> t -> Spin_sched.Sched_fuzz.t
 (** Installs the schedule fuzzer ({!Spin_sched.Sched_fuzz}) on this

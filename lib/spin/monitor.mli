@@ -22,34 +22,15 @@ val watch_with :
 val counts : t -> (string * int) list
 (** Events in watch order with their observed raise counts. *)
 
-val gauge : t -> name:string -> (unit -> int) -> unit
-(** Registers a named health gauge, sampled at {!report} /
-    {!gauges} time. Gauges surface state the monitor does not own —
-    device drop counters, supervisor fault tallies — so overload and
-    failure show up in the same report as event rates. *)
-
-val watch_nic : t -> Spin_machine.Nic.t -> unit
-(** Gauge on the NIC's receive-ring drop counter: overflow is
-    observable rather than a silent drop. *)
-
 val watch_netif : t -> Spin_net.Netif.t -> unit
-(** Same, at the driver level (the interface's NIC). *)
+(** Health gauge on the interface's receive-ring drop counter:
+    overflow is observable rather than a silent drop. *)
 
 val watch_supervisor : t -> Supervisor.t -> unit
 (** Gauges on the supervisor's fault, restart, and quarantine totals,
     plus the backoff hygiene counters (delays capped, attempt counts
     reset after a healthy grace period) and stale-reference
     ([Capability.Revoked]) fault count. *)
-
-val watch_dispatcher : t -> Spin_core.Dispatcher.t -> unit
-(** Gauges on the trusted-fast (verified bytecode) path: handlers
-    currently dispatching with zero per-event checks, raises that went
-    through them, and install attempts the verifier rejected — so a
-    fuzz campaign's quiescence checks cover the new path. *)
-
-val watch_swap : t -> Swap.t -> unit
-(** Gauges on hot-swap activity: committed and failed swaps, raises
-    held at swap gates, and old handlers swept. *)
 
 val watch_sched : t -> Spin_sched.Sched.t -> unit
 (** Gauges on scheduler health, summed across every CPU: machine-wide
@@ -58,32 +39,8 @@ val watch_sched : t -> Spin_sched.Sched.t -> unit
     The in-flight gauges matter on multiprocessors: a wakeup travelling
     as an IPI is pending work that no run-queue depth shows. *)
 
-val watch_fuzz : t -> Spin_sched.Sched_fuzz.t -> unit
-(** Gauges on a schedule-fuzzing run: the seed in play, scheduling
-    decisions made, preemptions injected, and invariant violations
-    found. *)
-
-val watch_mem : t -> Spin_vm.Phys_addr.t -> unit
-(** Gauges on the physical address service: total and free pages,
-    reclaims, and allocation failures. *)
-
-val watch_cache :
-  t -> name:string -> (unit -> Spin_fs.Cache_stats.t) -> unit
-(** Gauges ([name].hits/.misses/.bytes_cached/.reclaims) over any
-    cache that reports through {!Spin_fs.Cache_stats}. *)
-
 val gauges : t -> (string * int) list
 (** Registered gauges with their current samples. *)
-
-val watch_engine : t -> Spin_machine.Sim.t -> unit
-(** Gauges on the discrete-event engine itself: live/fired/cancelled
-    event counts and the event-record pool's hit/miss totals — the
-    host-side health of the simulator, not of anything simulated. *)
-
-val watch_trace : t -> Spin_machine.Trace.t -> unit
-(** Folds the tracer's latency histograms (p50/p90/p99 per key) into
-    {!report}, and adds gauges on the tracer's ring-record and
-    span-token pools. *)
 
 val report : t -> string
 (** Human-readable counts and rates per virtual second, followed by

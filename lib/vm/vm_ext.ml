@@ -63,16 +63,19 @@ let on_protection_fault t proc =
   clear_fault_handler t;
   t.user_proc <- Some proc;
   let h =
-    Dispatcher.install_exn (Translation.protection_fault t.vm.Vm.trans)
-      ~installer:t.app
-      ~guard:(fun f ->
-        Translation.context_id f.Translation.ctx = Translation.context_id t.ctx)
-      (fun f ->
-        t.faults <- t.faults + 1;
-        let page = (f.Translation.va - base_va t) / Addr.page_size in
-        match t.user_proc with
-        | Some proc -> proc page
-        | None -> ()) in
+    Dispatcher.ok_exn
+      (Dispatcher.install (Translation.protection_fault t.vm.Vm.trans)
+         ~installer:t.app
+         ~spec:
+           (Dispatcher.Handler_spec.guarded (fun f ->
+                Translation.context_id f.Translation.ctx
+                = Translation.context_id t.ctx))
+         (fun f ->
+           t.faults <- t.faults + 1;
+           let page = (f.Translation.va - base_va t) / Addr.page_size in
+           match t.user_proc with
+           | Some proc -> proc page
+           | None -> ())) in
   t.handler <- Some h
 
 let destroy t =

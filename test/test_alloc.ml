@@ -66,10 +66,6 @@ let declare d =
     ~allow_remove_primary:(fun ~requester:_ -> true)
     (fun (_ : ev) -> ())
 
-let must = function
-  | Ok h -> h
-  | Error err -> failf "install: %s" (Dispatcher.install_error_to_string err)
-
 let test_trusted_fast_raise () =
   let d = Dispatcher.create (Clock.create Cost.alpha_133) in
   let e = declare d in
@@ -78,7 +74,7 @@ let test_trusted_fast_raise () =
    | Error `Denied -> fail "remove_primary denied");
   let hits = ref 0 in
   ignore
-    (must
+    (Dispatcher.ok_exn
        (Dispatcher.install e ~installer:"ext"
           ~spec:(Handler_spec.verified (Ebc.match_field ~slot:0 7))
           (fun _ -> incr hits)));
@@ -180,7 +176,7 @@ let test_plan_transitions () =
     primary := false in
   step "primary only";
   let trusted =
-    must
+    Dispatcher.ok_exn
       (Dispatcher.install e ~installer:"ext"
          ~spec:(Handler_spec.verified (Ebc.match_field ~slot:0 7))
          (fun _ -> 1)) in
@@ -191,10 +187,11 @@ let test_plan_transitions () =
   step "verified handler demoted by a guard";
   Dispatcher.uninstall e trusted;
   step "no handler at all";
-  let plain = must (Dispatcher.install e ~installer:"ext" (fun _ -> 2)) in
+  let plain =
+    Dispatcher.ok_exn (Dispatcher.install e ~installer:"ext" (fun _ -> 2)) in
   step "unguarded extension alone";
   let indexed =
-    must
+    Dispatcher.ok_exn
       (Dispatcher.install e ~installer:"ext" ~spec:(Handler_spec.indexed 7)
          (fun _ -> 3)) in
   step "extension plus an indexed handler";
@@ -204,13 +201,14 @@ let test_plan_transitions () =
   step "guarded extension alone";
   Dispatcher.uninstall e plain;
   let bounded =
-    must
+    Dispatcher.ok_exn
       (Dispatcher.install e ~installer:"ext"
          ~spec:(Handler_spec.bounded 1_000_000) (fun _ -> 4)) in
   step "bounded extension alone";
   Dispatcher.uninstall e bounded;
   let failing =
-    must (Dispatcher.install e ~installer:"ext" (fun _ -> failwith "boom")) in
+    Dispatcher.ok_exn
+      (Dispatcher.install e ~installer:"ext" (fun _ -> failwith "boom")) in
   ignore failing;
   step "faulting extension (unlinked by the fault)";
   step "after the fault";

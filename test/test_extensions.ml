@@ -99,6 +99,27 @@ let test_monitor_per_instance () =
   check (list (pair string int)) "only the instance of interest"
     [ ("IP.PacketArrived", 2) ] (Monitor.counts m)
 
+(* A primary module may refuse the monitor. Watching must then fail
+   loudly: a counter that silently reads 0 would claim the event never
+   fired. Both watch flavours are checked. *)
+let test_monitor_denied_install_raises () =
+  let clock = Clock.create Cost.alpha_133 in
+  let d = Dispatcher.create clock in
+  let m = Monitor.create clock in
+  let e = Dispatcher.declare d ~name:"X" ~owner:"M"
+      ~auth:(fun ~installer ->
+        if installer = "Monitor" then Dispatcher.Deny else Dispatcher.allow)
+      (fun () -> ()) in
+  let denied =
+    Invalid_argument "Dispatcher.install: denied by the primary module" in
+  check_raises "watch" denied (fun () -> Monitor.watch m e);
+  check_raises "watch_with" denied (fun () ->
+    Monitor.watch_with m e ~interest:(fun () -> true));
+  Dispatcher.raise_event e ();
+  check int "no monitor handler installed" 1 (Dispatcher.handler_count e);
+  check (list (pair string int)) "no counter left behind" []
+    (Monitor.counts m)
+
 let test_monitor_report_format () =
   let clock = Clock.create Cost.alpha_133 in
   let d = Dispatcher.create clock in
@@ -124,14 +145,19 @@ let test_closure_handler_contexts () =
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let log = ref [] in
-  (* One handler procedure serves two contexts via closures. *)
+  (* One handler procedure serves two contexts: the closure is
+     partially applied to both the handler and its guard. *)
   let handler ctx arg = log := (ctx, arg) :: !log in
-  (match Dispatcher.install_with_closure e ~installer:"x" ~closure:"ctx-A"
-           ~guard:(fun _ arg -> arg mod 2 = 0) handler with
-   | Ok _ -> () | Error `Denied -> fail "denied");
-  (match Dispatcher.install_with_closure e ~installer:"x" ~closure:"ctx-B"
-           ~guard:(fun _ arg -> arg mod 2 = 1) handler with
-   | Ok _ -> () | Error `Denied -> fail "denied");
+  let guard ctx arg = arg mod 2 = (if ctx = "ctx-A" then 0 else 1) in
+  List.iter
+    (fun ctx ->
+      match
+        Dispatcher.install e ~installer:"x"
+          ~spec:(Dispatcher.Handler_spec.guarded (guard ctx)) (handler ctx)
+      with
+      | Ok _ -> ()
+      | Error err -> fail (Dispatcher.install_error_to_string err))
+    [ "ctx-A"; "ctx-B" ];
   List.iter (Dispatcher.raise_event e) [ 1; 2; 3 ];
   check (list (pair string int)) "closures distinguish contexts"
     [ ("ctx-B", 1); ("ctx-A", 2); ("ctx-B", 3) ]
@@ -152,6 +178,8 @@ let () =
           test_case "counts without disturbing" `Quick test_monitor_counts;
           test_case "per-instance interest" `Quick test_monitor_per_instance;
           test_case "report" `Quick test_monitor_report_format;
+          test_case "denied install raises" `Quick
+            test_monitor_denied_install_raises;
         ] );
       ( "closures",
         [ test_case "one handler, many contexts" `Quick test_closure_handler_contexts ] );

@@ -13,12 +13,23 @@ module Link = Spin_machine.Link
 module Machine = Spin_machine.Machine
 module Sched = Spin_sched.Sched
 module Dispatcher = Spin_core.Dispatcher
+module Handler_spec = Dispatcher.Handler_spec
 module Capability = Spin_core.Capability
 module Kdomain = Spin_core.Kdomain
 module Nameserver = Spin_core.Nameserver
 module Supervisor = Spin.Supervisor
 module Kernel = Spin.Kernel
 module Monitor = Spin.Monitor
+
+(* Install specs that carry only a failure policy. *)
+let restart ~delay_us ~backoff ~max_restarts =
+  { Handler_spec.default with
+    Handler_spec.on_failure =
+      Dispatcher.Restart { delay_us; backoff; max_restarts } }
+
+let quarantine ~window_us ~max_faults =
+  { Handler_spec.default with
+    Handler_spec.on_failure = Dispatcher.Quarantine { window_us; max_faults } }
 
 let addr_a = Ip.addr_of_quad 10 0 0 1
 let addr_b = Ip.addr_of_quad 10 0 0 2
@@ -126,10 +137,14 @@ let test_handler_exception_isolated () =
   let e = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let healthy = ref 0 in
-  ignore (Dispatcher.install_exn e ~installer:"rogue"
-            (fun _ -> failwith "rogue extension bug"));
-  ignore (Dispatcher.install_exn e ~installer:"healthy"
-            (fun _ -> incr healthy));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install e ~installer:"rogue"
+          (fun _ -> failwith "rogue extension bug")));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install e ~installer:"healthy"
+          (fun _ -> incr healthy)));
   (* The raise survives and the healthy handler still runs. *)
   Dispatcher.raise_event e 1;
   check int "healthy handler ran" 1 !healthy;
@@ -164,8 +179,10 @@ let test_fast_path_sole_extension_fault_contained () =
       (fun (_ : int) -> ()) in
   check bool "primary removed" true
     (Dispatcher.remove_primary e ~requester:"ext" = Ok ());
-  ignore (Dispatcher.install_exn e ~installer:"ext"
-            (fun _ -> failwith "sole extension bug"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install e ~installer:"ext"
+          (fun _ -> failwith "sole extension bug")));
   (* Must not escape, even though dispatch collapses to the fast path. *)
   Dispatcher.raise_event e 1;
   let st = Dispatcher.stats e in
@@ -184,8 +201,10 @@ let test_rogue_packet_handler_does_not_kill_network () =
   let a = Host.create sim ~name:"a" ~addr:addr_a in
   let b = Host.create sim ~name:"b" ~addr:addr_b in
   ignore (Host.wire a b ~kind:Nic.Lance);
-  ignore (Dispatcher.install_exn (Udp.packet_arrived b.Host.udp)
-            ~installer:"rogue" (fun _ -> failwith "boom"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Udp.packet_arrived b.Host.udp)
+          ~installer:"rogue" (fun _ -> failwith "boom")));
   let got = ref 0 in
   ignore (Udp.listen b.Host.udp ~port:9 ~installer:"svc" (fun _ -> incr got));
   ignore (Sched.spawn a.Host.sched ~name:"send" (fun () ->
@@ -245,18 +264,25 @@ let test_supervisor_quarantines_domain () =
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let ev_b = Dispatcher.declare d ~name:"Net.B" ~owner:"Net"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev_a ~installer:"filter"
-            ~on_failure:(Dispatcher.Quarantine
-                           { window_us = 1_000_000.; max_faults = 3 })
-            (fun _ -> failwith "filter bug"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev_a ~installer:"filter"
+          ~spec:(quarantine ~window_us:1_000_000. ~max_faults:3)
+          (fun _ -> failwith "filter bug")));
   let filter_b = ref 0 and peer = ref 0 in
-  ignore (Dispatcher.install_exn ev_b ~installer:"filter"
-            (fun _ -> incr filter_b));
-  ignore (Dispatcher.install_exn ev_a ~installer:"peer" (fun _ -> incr peer));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev_b ~installer:"filter"
+          (fun _ -> incr filter_b)));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev_a ~installer:"peer" (fun _ -> incr peer)));
   let announced = ref [] in
-  ignore (Dispatcher.install_exn (Supervisor.quarantined_event sup)
-            ~installer:"watcher"
-            (fun q -> announced := q.Supervisor.q_domain :: !announced));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Supervisor.quarantined_event sup)
+          ~installer:"watcher"
+          (fun q -> announced := q.Supervisor.q_domain :: !announced)));
   (* Two faults: tolerated, the handler stays installed. *)
   Dispatcher.raise_event ev_a 1;
   Dispatcher.raise_event ev_a 2;
@@ -294,17 +320,20 @@ let test_supervisor_restart_with_backoff () =
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let attempts = ref [] in
-  ignore (Dispatcher.install_exn (Supervisor.restarted_event sup)
-            ~installer:"watcher"
-            (fun r -> attempts := r.Supervisor.r_attempt :: !attempts));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Supervisor.restarted_event sup)
+          ~installer:"watcher"
+          (fun r -> attempts := r.Supervisor.r_attempt :: !attempts)));
   let calls = ref 0 and served = ref 0 in
-  ignore (Dispatcher.install_exn ev ~installer:"flaky"
-            ~on_failure:(Dispatcher.Restart
-                           { delay_us = 1_000.; backoff = 2.; max_restarts = 5 })
-            (fun _ ->
-              incr calls;
-              if !calls <= 2 then failwith "transient bug";
-              incr served));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"flaky"
+          ~spec:(restart ~delay_us:1_000. ~backoff:2. ~max_restarts:5)
+          (fun _ ->
+            incr calls;
+            if !calls <= 2 then failwith "transient bug";
+            incr served)));
   Dispatcher.raise_event ev 1;                     (* fault #1: evicted *)
   check int "evicted after the fault" 1 (Dispatcher.handler_count ev);
   let t0 = Clock.now_us clock in
@@ -328,10 +357,11 @@ let test_supervisor_restart_gives_up () =
   let _, sim, d, sup = supervised_dispatcher () in
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev ~installer:"hopeless"
-            ~on_failure:(Dispatcher.Restart
-                           { delay_us = 500.; backoff = 2.; max_restarts = 2 })
-            (fun _ -> failwith "always broken"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"hopeless"
+          ~spec:(restart ~delay_us:500. ~backoff:2. ~max_restarts:2)
+          (fun _ -> failwith "always broken")));
   for i = 1 to 4 do
     Dispatcher.raise_event ev i;    (* fault (if installed) ... *)
     Sim.run sim                     (* ... then any pending restart *)
@@ -350,10 +380,11 @@ let test_supervisor_backoff_cap () =
   Supervisor.set_restart_tuning sup ~max_delay_us:3_000. ();
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev ~installer:"flaky"
-            ~on_failure:(Dispatcher.Restart
-                           { delay_us = 1_000.; backoff = 4.; max_restarts = 5 })
-            (fun _ -> failwith "still broken"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"flaky"
+          ~spec:(restart ~delay_us:1_000. ~backoff:4. ~max_restarts:5)
+          (fun _ -> failwith "still broken")));
   Dispatcher.raise_event ev 1;               (* fault #1: delay 1000 *)
   let t0 = Clock.now_us clock in
   Sim.run sim;
@@ -381,12 +412,13 @@ let test_supervisor_backoff_resets_after_grace () =
   let ev = Dispatcher.declare d ~name:"Svc.Op" ~owner:"Svc"
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let calls = ref 0 in
-  ignore (Dispatcher.install_exn ev ~installer:"flaky"
-            ~on_failure:(Dispatcher.Restart
-                           { delay_us = 1_000.; backoff = 2.; max_restarts = 5 })
-            (fun _ ->
-              incr calls;
-              if !calls = 1 || !calls = 3 then failwith "transient bug"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"flaky"
+          ~spec:(restart ~delay_us:1_000. ~backoff:2. ~max_restarts:5)
+          (fun _ ->
+            incr calls;
+            if !calls = 1 || !calls = 3 then failwith "transient bug")));
   Dispatcher.raise_event ev 1;               (* fault #1: delay 1000 *)
   Sim.run sim;
   Dispatcher.raise_event ev 2;               (* healthy service *)
@@ -413,8 +445,10 @@ let test_supervisor_counts_revoked_faults () =
       ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
   let cap = Capability.mint ~owner:"OldGen" "resource" in
   ignore (Capability.advance_epoch ~owner:"OldGen");
-  ignore (Dispatcher.install_exn ev ~installer:"staleuser"
-            (fun _ -> ignore (Capability.deref cap)));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"staleuser"
+          (fun _ -> ignore (Capability.deref cap))));
   let m = Monitor.create clock in
   Monitor.watch_supervisor m sup;
   Dispatcher.raise_event ev 0;
@@ -437,13 +471,19 @@ let test_supervisor_domain_budget_groups_installers () =
   Supervisor.register_domain sup ~name:"plugins"
     ~installers:[ "plug-a"; "plug-b" ]
     ~budget:{ Supervisor.window_us = 1_000_000.; max_faults = 2 } ();
-  ignore (Dispatcher.install_exn ev ~installer:"plug-a"
-            (fun _ -> failwith "a is broken"));
-  ignore (Dispatcher.install_exn ev ~installer:"plug-b"
-            (fun _ -> failwith "b is broken"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"plug-a"
+          (fun _ -> failwith "a is broken")));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"plug-b"
+          (fun _ -> failwith "b is broken")));
   let healthy_runs = ref 0 in
-  ignore (Dispatcher.install_exn ev2 ~installer:"plug-b"
-            (fun _ -> incr healthy_runs));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev2 ~installer:"plug-b"
+          (fun _ -> incr healthy_runs)));
   (* One raise: both broken handlers fault, pooling two faults on the
      "plugins" domain — which is exactly its budget. *)
   Dispatcher.raise_event ev 1;
@@ -468,10 +508,11 @@ let test_supervisor_budget_beyond_log_cap () =
     ~budget:{ Supervisor.window_us = 1_000_000_000.; max_faults = 300 } ();
   (* A tolerant per-handler policy keeps the handler installed so every
      raise produces a fresh fault against the domain budget. *)
-  ignore (Dispatcher.install_exn ev ~installer:"chatty"
-            ~on_failure:(Dispatcher.Quarantine
-                           { window_us = 1_000_000_000.; max_faults = max_int })
-            (fun _ -> failwith "chatty bug"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"chatty"
+          ~spec:(quarantine ~window_us:1_000_000_000. ~max_faults:max_int)
+          (fun _ -> failwith "chatty bug")));
   for i = 1 to 299 do
     Dispatcher.raise_event ev i
   done;
@@ -492,10 +533,11 @@ let test_kernel_quarantine_unlinks_service () =
   Kernel.publish k ~name:"FilterService" filter;
   let ev = Dispatcher.declare k.Kernel.dispatcher ~name:"Net.Filter"
       ~owner:"Net" ~combine:(fun _ -> ()) (fun (_ : int) -> ()) in
-  ignore (Dispatcher.install_exn ev ~installer:"Filter"
-            ~on_failure:(Dispatcher.Quarantine
-                           { window_us = 1_000_000.; max_faults = 1 })
-            (fun _ -> failwith "filter bug"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev ~installer:"Filter"
+          ~spec:(quarantine ~window_us:1_000_000. ~max_faults:1)
+          (fun _ -> failwith "filter bug")));
   let me = { Nameserver.who = "test" } in
   check bool "service resolvable before the fault" true
     (Result.is_ok (Nameserver.lookup k.Kernel.nameserver ~name:"FilterService" me));
@@ -537,16 +579,19 @@ let test_http_degrades_when_generator_quarantined () =
     Http.set_fallback h (Bytes.of_string "<h1>degraded</h1>");
     (match Http.content_event h with
      | Some ev ->
-       ignore (Dispatcher.install_exn ev ~installer:"cms"
-                 ~on_failure:(Dispatcher.Quarantine
-                                { window_us = 1_000_000_000.; max_faults = 2 })
-                 (fun path ->
-                    if path = "boom" then failwith "cms bug" else None));
-       ignore (Dispatcher.install_exn ev ~installer:"status-page"
-                 (fun path ->
-                    if path = "status" then
-                      Some (Bytes.of_string "<h1>ok</h1>")
-                    else None))
+       ignore
+         (Dispatcher.ok_exn
+            (Dispatcher.install ev ~installer:"cms"
+               ~spec:(quarantine ~window_us:1_000_000_000. ~max_faults:2)
+               (fun path ->
+                  if path = "boom" then failwith "cms bug" else None)));
+       ignore
+         (Dispatcher.ok_exn
+            (Dispatcher.install ev ~installer:"status-page"
+               (fun path ->
+                  if path = "status" then
+                    Some (Bytes.of_string "<h1>ok</h1>")
+                  else None)))
      | None -> failwith "no content event");
     http := Some h));
   Host.run_all [ client; server ];

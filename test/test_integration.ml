@@ -155,10 +155,12 @@ let test_world_survives_rogue_extension () =
   (* A rogue extension watches every IP packet on the server and
      crashes on the third one. *)
   let seen = ref 0 in
-  ignore (Dispatcher.install_exn (Ip.packet_arrived w.server.Host.ip)
-            ~installer:"rogue" (fun _ ->
-              incr seen;
-              if !seen = 3 then failwith "rogue dies"));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Ip.packet_arrived w.server.Host.ip)
+          ~installer:"rogue" (fun _ ->
+            incr seen;
+            if !seen = 3 then failwith "rogue dies")));
   let responses = ref 0 in
   ignore (Sched.spawn w.client.Host.sched ~name:"web" (fun () ->
     for _ = 1 to 3 do

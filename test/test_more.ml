@@ -40,8 +40,10 @@ let test_extension_imports_translation_event () =
   Object_file.Builder.set_init b (fun () ->
     match Option.bind !cell (Univ.unpack Kernel.translation_event_tag) with
     | Some event ->
-      ignore (Dispatcher.install_exn event ~installer:"vmwatch"
-                (fun _ -> incr seen))
+      ignore
+        (Dispatcher.ok_exn
+           (Dispatcher.install event ~installer:"vmwatch"
+              (fun _ -> incr seen)))
     | None -> fail "import did not resolve to the event");
   (match Kernel.load_extension k (Object_file.Builder.build b) with
    | Ok _ -> ()
@@ -222,8 +224,10 @@ let test_video_send_packet_stacking () =
   let s = Option.get !v in
   Video.add_client s addr_b;
   let observed = ref 0 in
-  ignore (Dispatcher.install_exn (Video.send_packet_event s)
-            ~installer:"traffic-monitor" (fun (_, _) -> incr observed; 0));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Video.send_packet_event s)
+          ~installer:"traffic-monitor" (fun (_, _) -> incr observed; 0)));
   ignore (Sched.spawn server.Host.sched ~name:"stream" (fun () ->
     Video.stream s ~fps:30 ~duration_s:0.2));
   Host.run_all [ server; sink ];

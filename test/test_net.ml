@@ -153,6 +153,43 @@ let test_udp_delivery_by_port () =
   check (list string) "port 9" [ "to-nine" ] !port9;
   check (list string) "port 5" [ "to-five" ] !port5
 
+(* Every demux the stack installs is a single verified install: the
+   IP ethertype filter on the driver event, each protocol's
+   [Ip.attach] and an unbounded [Udp.listen] all dispatch
+   trusted-fast. Only a listener that asks for a cycle bound keeps a
+   closure guard, so its body stays policed per event. *)
+let test_demux_install_shapes () =
+  let _, _, b = two_hosts () in
+  ignore (Udp.listen b.Host.udp ~port:9 ~installer:"open" (fun _ -> ()));
+  ignore (Udp.listen b.Host.udp ~port:7 ~bound_cycles:5_000
+            ~installer:"policed" (fun _ -> ()));
+  let spec ~event ~installer =
+    match
+      List.find_opt
+        (fun (i : Dispatcher.Handler_spec.info) ->
+          i.Dispatcher.Handler_spec.i_event = event
+          && i.Dispatcher.Handler_spec.i_installer = installer)
+        (Dispatcher.handler_specs b.Host.dispatcher)
+    with
+    | Some i -> i
+    | None -> failf "no %s handler on %s" installer event in
+  List.iter
+    (fun (event, installer) ->
+      check bool (installer ^ " on " ^ event ^ " is trusted") true
+        (spec ~event ~installer).Dispatcher.Handler_spec.i_trusted)
+    [ ("Ether.PktArrived", "IP");
+      ("IP.PacketArrived", "UDP");
+      ("IP.PacketArrived", "TCP");
+      ("IP.PacketArrived", "ICMP");
+      ("UDP.PacketArrived", "open") ];
+  let policed = spec ~event:"UDP.PacketArrived" ~installer:"policed" in
+  check bool "bounded listener is not trusted" false
+    policed.Dispatcher.Handler_spec.i_trusted;
+  check int "bounded listener keeps one closure guard" 1
+    policed.Dispatcher.Handler_spec.i_guards;
+  check (option int) "bounded listener keeps its bound" (Some 5_000)
+    policed.Dispatcher.Handler_spec.i_bound
+
 let test_udp_echo_rtt () =
   let sim, a, b = two_hosts () in
   (* Echo server: a SPIN extension handling packets in the kernel. *)
@@ -888,6 +925,7 @@ let () =
       ( "udp",
         [
           test_case "per-port delivery via guards" `Quick test_udp_delivery_by_port;
+          test_case "demux install shapes" `Quick test_demux_install_shapes;
           test_case "echo RTT" `Quick test_udp_echo_rtt;
           test_case "mtu respected" `Quick test_udp_mtu_respected;
           test_case "loopback" `Quick test_udp_loopback;

@@ -144,9 +144,13 @@ let prop_dispatcher_guard_semantics =
       let fired = ref [] in
       List.iteri
         (fun i (m, r) ->
-          ignore (Dispatcher.install_exn e ~installer:"p"
-                    ~guard:(fun x -> x mod m = r mod m)
-                    (fun _ -> fired := i :: !fired)))
+          ignore
+            (Dispatcher.ok_exn
+               (Dispatcher.install e ~installer:"p"
+                  ~spec:
+                    (Dispatcher.Handler_spec.guarded (fun x ->
+                         x mod m = r mod m))
+                  (fun _ -> fired := i :: !fired))))
         handler_specs;
       Dispatcher.raise_event e v;
       let expected =
@@ -167,8 +171,9 @@ let prop_dispatcher_uninstall_complete =
       let handlers =
         List.mapi
           (fun i _ ->
-            Dispatcher.install_exn e ~installer:"p"
-              (fun () -> fired := i :: !fired))
+            Dispatcher.ok_exn
+              (Dispatcher.install e ~installer:"p"
+                 (fun () -> fired := i :: !fired)))
           keep_mask in
       List.iteri
         (fun i h -> if not (List.nth keep_mask i) then Dispatcher.uninstall e h)

@@ -180,10 +180,14 @@ let test_checkpoint_resume_events_fire () =
   let _, d, s = kernel () in
   let ev = Sched.events s in
   let resumes = ref 0 and checkpoints = ref 0 in
-  ignore (Dispatcher.install_exn ev.Sched.resume ~installer:"spy"
-            (fun _ -> incr resumes));
-  ignore (Dispatcher.install_exn ev.Sched.checkpoint ~installer:"spy"
-            (fun _ -> incr checkpoints));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev.Sched.resume ~installer:"spy"
+          (fun _ -> incr resumes)));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install ev.Sched.checkpoint ~installer:"spy"
+          (fun _ -> incr checkpoints)));
   ignore d;
   ignore (Sched.spawn s ~name:"x" (fun () -> Sched.yield s));
   Sched.run s;
@@ -227,8 +231,13 @@ let test_async_dispatcher_handlers_run_on_strands () =
   let ran = ref false in
   let e = Dispatcher.declare d ~name:"Ev" ~owner:"M"
       ~combine:(fun _ -> ()) (fun _ -> ()) in
-  ignore (Dispatcher.install_exn e ~installer:"bg" ~async:true
-            (fun _ -> ran := true));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install e ~installer:"bg"
+          ~spec:
+            { Dispatcher.Handler_spec.default with
+              Dispatcher.Handler_spec.async = true }
+          (fun _ -> ran := true)));
   Dispatcher.raise_event e ();
   check bool "deferred to a strand" false !ran;
   Sched.run s;

@@ -9,6 +9,7 @@
 open Alcotest
 open Spin
 module Dispatcher = Spin_core.Dispatcher
+module Handler_spec = Dispatcher.Handler_spec
 module Object_file = Spin_core.Object_file
 module Kdomain = Spin_core.Kdomain
 module Capability = Spin_core.Capability
@@ -38,8 +39,9 @@ let counter ~version ?(with_checkpoint = true) ?(with_restore = true)
   Object_file.Builder.set_version b version;
   Object_file.Builder.set_init b (fun () ->
     ignore
-      (Dispatcher.install_exn tick ~installer:"Counter" (fun () ->
-           incr count)));
+      (Dispatcher.ok_exn
+         (Dispatcher.install tick ~installer:"Counter"
+            (fun () -> incr count))));
   if with_checkpoint then
     Object_file.Builder.export b Swap.checkpoint_sym
       (Univ.pack Swap.checkpoint_tag (fun () ->
@@ -100,9 +102,10 @@ let test_checkpoint_carries_state_across_swap () =
   ignore (load_exn k obj1);
   let announced = ref [] in
   ignore
-    (Dispatcher.install_exn (Swap.swapped_event k.Kernel.swap)
-       ~installer:"observer" (fun o ->
-         announced := o.Swap.sw_domain :: !announced));
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Swap.swapped_event k.Kernel.swap)
+          ~installer:"observer" (fun o ->
+            announced := o.Swap.sw_domain :: !announced)));
   for _ = 1 to 5 do Dispatcher.raise_event tick () done;
   check int "v1 counted its ticks" 5 !c1;
   let obj2, c2 = counter ~version:2 tick in
@@ -247,11 +250,14 @@ let test_swap_cancels_pending_restart () =
       ~safety:Object_file.Compiler_signed () in
   Object_file.Builder.set_init b (fun () ->
     ignore
-      (Dispatcher.install_exn tick ~installer:"Counter"
-         ~on_failure:
-           (Dispatcher.Restart
-              { delay_us = 1_000.; backoff = 2.; max_restarts = 3 })
-         (fun () -> incr calls; failwith "flaky")));
+      (Dispatcher.ok_exn
+         (Dispatcher.install tick ~installer:"Counter"
+            ~spec:
+              { Handler_spec.default with
+                Handler_spec.on_failure =
+                  Dispatcher.Restart
+                    { delay_us = 1_000.; backoff = 2.; max_restarts = 3 } }
+            (fun () -> incr calls; failwith "flaky"))));
   ignore (load_exn k (Object_file.Builder.build b));
   Dispatcher.raise_event tick ();   (* fault: a restart is now pending *)
   check int "flaky handler evicted" 1 (Dispatcher.handler_count tick);

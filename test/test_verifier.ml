@@ -132,10 +132,6 @@ let retire_primary e =
   | Ok () -> ()
   | Error `Denied -> fail "remove_primary denied"
 
-let must = function
-  | Ok h -> h
-  | Error err -> failf "install: %s" (Dispatcher.install_error_to_string err)
-
 let test_install_rejection () =
   let _, d = fixture () in
   let e = declare d in
@@ -179,7 +175,7 @@ let test_trusted_fast_dispatch () =
   retire_primary e;
   let hits = ref 0 in
   ignore
-    (must
+    (Dispatcher.ok_exn
        (Dispatcher.install e ~installer:"ext"
           ~spec:(Handler_spec.verified (Ebc.match_field ~slot:0 7))
           (fun _ -> incr hits)));
@@ -201,7 +197,9 @@ let dispatch_cycles spec =
   let clock, d = fixture () in
   let e = declare d in
   retire_primary e;
-  ignore (must (Dispatcher.install e ~installer:"ext" ~spec (fun _ -> ())));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install e ~installer:"ext" ~spec (fun _ -> ())));
   Clock.stamp clock (fun () ->
       for n = 1 to 200 do
         Dispatcher.raise_default e () { a = 3; b = n }
@@ -221,7 +219,7 @@ let test_guard_demotes_trusted () =
   retire_primary e;
   let hits = ref 0 in
   let h =
-    must
+    Dispatcher.ok_exn
       (Dispatcher.install e ~installer:"ext"
          ~spec:(Handler_spec.verified (Ebc.match_field ~slot:0 1))
          (fun _ -> incr hits)) in
@@ -244,7 +242,9 @@ let test_spec_guard_never_trusted () =
   let spec =
     { (Handler_spec.verified (Ebc.match_field ~slot:0 1)) with
       guard = Some (fun ev -> ev.b > 0) } in
-  ignore (must (Dispatcher.install e ~installer:"ext" ~spec (fun _ -> ())));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install e ~installer:"ext" ~spec (fun _ -> ())));
   check bool "guard in the spec keeps the closure path" false
     (List.exists
        (fun i -> i.Handler_spec.i_trusted)

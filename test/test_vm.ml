@@ -57,9 +57,11 @@ let test_phys_reclaim_event () =
   let first = Phys_addr.allocate vm.Vm.phys ~owner:"old" ~bytes:Addr.page_size in
   let sacrificial =
     Phys_addr.allocate vm.Vm.phys ~owner:"cache" ~bytes:Addr.page_size in
-  ignore (Dispatcher.install_exn (Phys_addr.reclaim_event vm.Vm.phys)
-            ~installer:"cache"
-            (fun _candidate -> sacrificial));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Phys_addr.reclaim_event vm.Vm.phys)
+          ~installer:"cache"
+          (fun _candidate -> sacrificial)));
   (* Grab everything that's left, then one more to force reclamation. *)
   let rest = Phys_addr.allocate vm.Vm.phys ~owner:"hog"
       ~bytes:((total - 2) * Addr.page_size) in
@@ -87,14 +89,16 @@ let test_phys_reclaim_reentrancy () =
   let _hog =
     Phys_addr.allocate phys ~owner:"hog" ~bytes:(total * Addr.page_size) in
   let saw_clean_oom = ref false in
-  ignore (Dispatcher.install_exn (Phys_addr.reclaim_event phys)
-            ~installer:"evil" (fun candidate ->
-              (match
-                 Phys_addr.allocate phys ~owner:"evil" ~bytes:Addr.page_size
-               with
-               | _ -> ()
-               | exception Phys_addr.Out_of_memory -> saw_clean_oom := true);
-              candidate));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Phys_addr.reclaim_event phys)
+          ~installer:"evil" (fun candidate ->
+            (match
+               Phys_addr.allocate phys ~owner:"evil" ~bytes:Addr.page_size
+             with
+             | _ -> ()
+             | exception Phys_addr.Out_of_memory -> saw_clean_oom := true);
+            candidate)));
   let extra = Phys_addr.allocate phys ~owner:"app" ~bytes:Addr.page_size in
   check bool "nested allocation got a clean Out_of_memory" true !saw_clean_oom;
   check bool "outer allocation still served" true (Capability.is_valid extra);
@@ -237,11 +241,13 @@ let test_translation_events_classified () =
   (* Protection fault: write a read-only page; handler upgrades it. *)
   ignore (Translation.protect vm.Vm.trans ctx ~va:region.Virt_addr.va
             ~npages:1 Addr.prot_read);
-  ignore (Dispatcher.install_exn (Translation.protection_fault vm.Vm.trans)
-            ~installer:"fixer"
-            (fun f ->
-              ignore (Translation.protect vm.Vm.trans f.Translation.ctx
-                        ~va:f.Translation.va ~npages:1 Addr.prot_read_write)));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Translation.protection_fault vm.Vm.trans)
+          ~installer:"fixer"
+          (fun f ->
+            ignore (Translation.protect vm.Vm.trans f.Translation.ctx
+                      ~va:f.Translation.va ~npages:1 Addr.prot_read_write))));
   Cpu.store_word m.Machine.cpu ~va:region.Virt_addr.va 5L;
   let st = Translation.stats vm.Vm.trans in
   check int "protection fault seen" 1 st.Translation.faults_protection;
@@ -264,13 +270,15 @@ let test_translation_page_not_present_event () =
   Translation.attach_region ctx (Virt_addr.region vaddr);
   Cpu.set_context m.Machine.cpu (Some (Translation.mmu_context ctx));
   (* Lazy mapping: fault in a zero page on first touch. *)
-  ignore (Dispatcher.install_exn (Translation.page_not_present vm.Vm.trans)
-            ~installer:"lazy"
-            (fun f ->
-              let page = Phys_addr.allocate vm.Vm.phys ~owner:"lazy"
-                  ~bytes:Addr.page_size in
-              Translation.map_one vm.Vm.trans f.Translation.ctx
-                ~va:f.Translation.va page ~index:0 Addr.prot_read_write));
+  ignore
+    (Dispatcher.ok_exn
+       (Dispatcher.install (Translation.page_not_present vm.Vm.trans)
+          ~installer:"lazy"
+          (fun f ->
+            let page = Phys_addr.allocate vm.Vm.phys ~owner:"lazy"
+                ~bytes:Addr.page_size in
+            Translation.map_one vm.Vm.trans f.Translation.ctx
+              ~va:f.Translation.va page ~index:0 Addr.prot_read_write)));
   let va = (Virt_addr.region vaddr).Virt_addr.va in
   Cpu.store_word m.Machine.cpu ~va 9L;
   check int64 "lazily mapped" 9L (Cpu.load_word m.Machine.cpu ~va);
