@@ -175,7 +175,7 @@ let run () =
        m "host alloc/req" "B" alloc)
     [ 1; 2; 4; 8; 16 ];
   Report.note
-    "  Latency grows with queueing at the single-CPU server while\n\
-    \  throughput saturates: the closed loop keeps exactly N requests\n\
-    \  in flight.\n";
+    "  Latency grows with queueing while throughput saturates on the\n\
+    \  10 Mb/s server-to-client wire: the closed loop keeps exactly N\n\
+    \  requests in flight.\n";
   alloc_comparison ()

@@ -12,6 +12,7 @@ let flag_syn = 1
 let flag_ack = 2
 let flag_fin = 4
 let flag_rst = 8
+let flag_psh = 16
 
 type state =
   | Closed
@@ -96,7 +97,12 @@ type t = engine
 
 let process_cost = 700                    (* per-segment protocol work *)
 let window_segments = 8
-let mss = 1024
+
+(* The smallest NIC MTU (1500: Lance, T3) less the link (2), IP (12)
+   and TCP headers: one full segment fits every path this stack
+   builds, forwarded ones included. *)
+let mss = 1500 - 2 - 12 - header_bytes
+
 let rto_us = 200_000.
 let delayed_ack_us = 10_000.
 let max_retries = 8
@@ -160,7 +166,8 @@ let flags_to_string flags =
   String.concat ""
     (List.filter_map
        (fun (bit, c) -> if flags land bit <> 0 then Some c else None)
-       [ (flag_syn, "S"); (flag_ack, "A"); (flag_fin, "F"); (flag_rst, "R") ])
+       [ (flag_syn, "S"); (flag_ack, "A"); (flag_fin, "F"); (flag_rst, "R");
+         (flag_psh, "P") ])
 
 (* One outgoing segment, encoded for IP: its protocol charge, its
    trace instant and its wire copy. *)
@@ -206,33 +213,50 @@ let cancel_rto t conn =
   | Some h -> Sim.cancel t.machine.Machine.sim h; conn.rto <- None
   | None -> ()
 
-(* Put a segment on the retransmit queue and encode it. *)
-let queue_segment t conn ~flags data =
+(* Put a segment on the retransmit queue. *)
+let queue_segment conn ~flags data =
   let u = { u_seq = conn.snd_nxt; u_flags = flags; u_data = data } in
   conn.snd_nxt <- conn.snd_nxt + seg_len u;
   Queue.add u conn.inflight;
-  segment t conn ~seq:u.u_seq ~flags data
+  u
 
 (* Queue the segment that carries the FIN: the close takes effect as
    it is queued, and a retransmit resends it with the FIN still set. *)
-let queue_fin t conn data =
+let queue_fin conn data =
   conn.fin_pending <- false;
   conn.st <- (match conn.st with Close_wait -> Last_ack | _ -> Fin_wait);
-  queue_segment t conn ~flags:flag_fin data
+  queue_segment conn ~flags:flag_fin data
 
 (* Every segment the window admits, oldest first. A pending FIN rides
    on the last queued chunk, or goes alone when no data waits. *)
-let rec stage_window t conn =
+let rec stage_window conn =
   if Queue.length conn.inflight >= window_segments then []
   else if not (Queue.is_empty conn.pending) then begin
     let chunk = Queue.take conn.pending in
-    let pkt =
+    let u =
       if conn.fin_pending && Queue.is_empty conn.pending then
-        queue_fin t conn chunk
-      else queue_segment t conn ~flags:0 chunk in
-    pkt :: stage_window t conn
-  end else if conn.fin_pending then [ queue_fin t conn (Pkt.empty ()) ]
+        queue_fin conn chunk
+      else queue_segment conn ~flags:0 chunk in
+    u :: stage_window conn
+  end else if conn.fin_pending then [ queue_fin conn (Pkt.empty ()) ]
   else []
+
+(* Encode a burst, oldest first. Its last segment carries PSH: the
+   receiver acknowledges the whole burst once, when it arrives. A burst
+   the window cut short, with data still pending behind it, carries PSH
+   on its middle segment too: the ack for its first half comes back
+   while the second half is on the wire, and keeps the window moving. *)
+let encode_burst t conn us =
+  let n = List.length us in
+  let mid = if Queue.is_empty conn.pending then 0 else n / 2 in
+  let rec encode i = function
+    | [] -> []
+    | u :: rest ->
+      let flags =
+        if i = n || i = mid then u.u_flags lor flag_psh else u.u_flags in
+      let pkt = segment t conn ~seq:u.u_seq ~flags u.u_data in
+      pkt :: encode (i + 1) rest in
+  encode 1 us
 
 let rec arm_rto t conn =
   cancel_rto t conn;
@@ -248,16 +272,15 @@ and on_timeout t conn =
       teardown t conn
     end else begin
       (* Go-Back-N: resend everything outstanding, as one burst. *)
-      let resend pkts u =
+      let resend us u =
         t.s_rexmit <- t.s_rexmit + 1;
         let tr = t.tracer in
         if Trace.on tr then
           Trace.instant tr ~cat:"tcp" ~name:"retransmit"
             ~args:[ ("seq", string_of_int u.u_seq);
                     ("retries", string_of_int conn.retries) ] ();
-        segment t conn ~seq:u.u_seq ~flags:u.u_flags u.u_data :: pkts in
-      transmit t conn
-        (List.rev (Queue.fold resend [] conn.inflight));
+        u :: us in
+      transmit t conn (List.rev (Queue.fold resend [] conn.inflight));
       fill_window t conn
     end
   end
@@ -281,21 +304,22 @@ and teardown t conn =
    after it. A loopback peer answers inside the send, and its acks
    would refill the window there, ahead of the burst's tail: [filling]
    holds those refills back until the burst is out. *)
-and transmit t conn pkts =
+and transmit t conn us =
   conn.filling <- true;
-  ignore (Ip.send_burst t.ip ~dst:conn.r_addr ~proto:Ip.proto_tcp pkts);
+  ignore (Ip.send_burst t.ip ~dst:conn.r_addr ~proto:Ip.proto_tcp
+            (encode_burst t conn us));
   conn.filling <- false;
   if conn.rto = None then arm_rto t conn
 
 (* Push queued data into the window. *)
 and fill_window t conn =
   if not conn.filling && conn.st <> Closed then
-    match stage_window t conn with
+    match stage_window conn with
     | [] -> ()
-    | pkts -> transmit t conn pkts; fill_window t conn
+    | us -> transmit t conn us; fill_window t conn
 
 let transmit_syn t conn =
-  transmit t conn [ queue_segment t conn ~flags:flag_syn (Pkt.empty ()) ];
+  transmit t conn [ queue_segment conn ~flags:flag_syn (Pkt.empty ()) ];
   fill_window t conn
 
 (* ------------------------------------------------------------------ *)
@@ -354,15 +378,18 @@ let handle_established t conn seg =
          | None -> ())
       end;
       (* If the receive handler transmitted (an echo, a response), its
-         segment already carried the acknowledgement. Otherwise ack
-         every second data segment immediately and delay single acks,
-         hoping to piggyback them on upcoming data (standard delayed
-         acknowledgements). FINs are acknowledged at once. *)
+         segment already carried the acknowledgement. Otherwise ack a
+         sender's burst once, at its PSH, if it left two or more data
+         segments unacked, and ack a full window at once. A lone
+         segment's ack is delayed, hoping to piggyback it on upcoming
+         data (standard delayed acknowledgements). FINs are
+         acknowledged at once. *)
       if conn.snd_nxt = snd_before then begin
         if fin then emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
         else if Pkt.length seg.data > 0 then begin
           conn.unacked_rx <- conn.unacked_rx + 1;
-          if conn.unacked_rx >= 2 then
+          if conn.unacked_rx >= window_segments
+             || (seg.flags land flag_psh <> 0 && conn.unacked_rx >= 2) then
             emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
           else if conn.delayed_ack = None then
             conn.delayed_ack <-
@@ -373,8 +400,11 @@ let handle_established t conn seg =
                           emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())))
         end
       end
-    end else if seg.seq < expected && (Pkt.length seg.data > 0 || fin) then
-      (* Duplicate: re-ack. *)
+    end else if seg.seq < expected
+              && (Pkt.length seg.data > 0
+                  || seg.flags land (flag_syn lor flag_fin) <> 0) then
+      (* Duplicate of anything that takes sequence space, a
+         retransmitted SYN-ACK included: re-ack. *)
       emit t conn ~seq:conn.snd_nxt ~flags:0 (Pkt.empty ())
     (* Out-of-order beyond rcv_nxt: dropped (Go-Back-N). *);
     (match conn.st with
@@ -504,8 +534,6 @@ let listen t ~port ~on_accept =
     invalid_arg "Tcp.listen: port in use";
   Hashtbl.replace t.listeners port on_accept
 
-let unlisten t ~port = Hashtbl.remove t.listeners port
-
 let connect t ~dst ~dst_port =
   let l_port = t.next_port in
   t.next_port <- t.next_port + 1;
@@ -543,19 +571,6 @@ let rec chunk pending data pos =
     chunk pending data (pos + n)
   end
 
-let enqueue t conn ~fin data =
-  if conn.st = Established || conn.st = Close_wait then begin
-    (* BSD's MSG_EOF: the FIN is pending before the data is queued, so
-       it rides on the data's last segment. *)
-    if fin then conn.fin_pending <- true;
-    if Pkt.length data > 0 || fin then begin
-      chunk conn.pending data 0;
-      fill_window t conn
-    end
-  end
-
-let send_pkt t conn data = enqueue t conn ~fin:false data
-
 let send ?(fin = false) t conn data =
   (* Application hand-off: one charged copy of the whole send buffer;
      the window then transmits views of it. *)
@@ -563,7 +578,15 @@ let send ?(fin = false) t conn data =
     Clock.charge t.machine.Machine.clock
       (Cost.copy_cycles (Clock.cost t.machine.Machine.clock)
          ~bytes:(Bytes.length data));
-  enqueue t conn ~fin (Pkt.of_payload ~headroom:0 data)
+  if conn.st = Established || conn.st = Close_wait then begin
+    (* BSD's MSG_EOF: the FIN is pending before the data is queued, so
+       it rides on the data's last segment. *)
+    if fin then conn.fin_pending <- true;
+    if Bytes.length data > 0 || fin then begin
+      chunk conn.pending (Pkt.of_payload ~headroom:0 data) 0;
+      fill_window t conn
+    end
+  end
 
 let on_receive conn cb =
   (* Drain anything buffered before switching to callback mode. *)
@@ -601,10 +624,6 @@ let abort t conn =
   end
 
 let state conn = conn.st
-
-let peer conn = (conn.r_addr, conn.r_port)
-
-let local_port conn = conn.l_port
 
 let stats t = {
   segments_sent = t.s_out;

@@ -1,11 +1,12 @@
 (** TCP, as a SPIN extension.
 
     A real — though deliberately lean — TCP: three-way handshake,
-    cumulative acknowledgements, Go-Back-N retransmission with a
-    bounded retry count, fixed-size windows, in-order delivery, and
-    FIN/ACK teardown. (The paper borrows the DEC OSF/1 TCP engine and
-    asserts its safety; we build our own, which also plays that
-    "asserted safe" role in the assembled kernel.)
+    cumulative acknowledgements (one per sender burst, at its PSH),
+    Go-Back-N retransmission with a bounded retry count, fixed-size
+    windows, in-order delivery, and FIN/ACK teardown. (The paper
+    borrows the DEC OSF/1 TCP engine and asserts its safety; we build
+    our own, which also plays that "asserted safe" role in the
+    assembled kernel.)
 
     Like the paper's stack, the module owns [TCP.PacketArrived] and
     demultiplexes to connections with guards. Blocking operations
@@ -28,7 +29,9 @@ type state =
 
 val state_to_string : state -> string
 
-val header_bytes : int
+val mss : int
+(** The largest segment sent: 1470 bytes, the smallest NIC MTU (1500)
+    less the link, IP and TCP headers, so it fits every path. *)
 
 val create :
   Spin_machine.Machine.t -> Spin_sched.Sched.t -> Spin_core.Dispatcher.t ->
@@ -42,8 +45,6 @@ val add_demux_filter : t -> (dport:int -> sport:int -> bool) -> unit
 
 val listen : t -> port:int -> on_accept:(conn -> unit) -> unit
 (** Raises [Invalid_argument] if the port already has a listener. *)
-
-val unlisten : t -> port:int -> unit
 
 val connect : t -> dst:Ip.addr -> dst_port:int -> conn option
 (** Active open; blocks the calling strand until established, or
@@ -64,13 +65,12 @@ val send : ?fin:bool -> t -> conn -> Bytes.t -> unit
     {e views} of that buffer — each segment on the wire aliases the
     send buffer rather than owning a fresh copy, and the retransmit
     queue holds the same views. The caller keeps ownership of [data]
-    and may reuse it immediately. *)
+    and may reuse it immediately.
 
-val send_pkt : t -> conn -> Pkt.t -> unit
-(** Zero-copy [send]: the connection takes ownership of the packet and
-    cuts its MSS-sized segment views directly from it. The buffer must
-    not be mutated by the caller afterwards — the retransmit queue
-    aliases it until every byte is acknowledged. *)
+    Segments are at most {!mss} bytes. The last segment of each burst
+    carries PSH, and so does the middle one of a burst the window cut
+    short; the receiver acks at a PSH, so a burst that fits the window
+    draws one ack. *)
 
 val on_receive : conn -> (Bytes.t -> unit) -> unit
 (** In-order delivery callback (replaces blocking reads when set).
@@ -89,10 +89,6 @@ val abort : t -> conn -> unit
 (** RST out, connection dropped. *)
 
 val state : conn -> state
-
-val peer : conn -> Ip.addr * int
-
-val local_port : conn -> int
 
 type stats = {
   segments_sent : int;

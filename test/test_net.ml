@@ -294,12 +294,14 @@ let test_tcp_large_transfer_segments () =
   let received = Buffer.create 16384 in
   Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
     Tcp.on_receive conn (fun data -> Buffer.add_bytes received data));
-  let payload = Bytes.init 10_000 (fun i -> Char.chr (i land 0xff)) in
+  (* Ten segments: nine full ones and a partial tail. *)
+  let payload =
+    Bytes.init ((10 * Tcp.mss) - 240) (fun i -> Char.chr (i land 0xff)) in
   in_strand [ a; b ] a (fun () ->
     match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
     | None -> fail "connect failed"
     | Some conn -> Tcp.send a.Host.tcp conn payload);
-  check int "all bytes across" 10_000 (Buffer.length received);
+  check int "all bytes across" (Bytes.length payload) (Buffer.length received);
   check bytes "in order and intact" payload (Buffer.to_bytes received);
   check bool "multiple segments" true
     ((Tcp.stats a.Host.tcp).Tcp.segments_sent > 9)
@@ -366,7 +368,10 @@ let tcp_tap host ~src =
                 log := (Pkt.get_u8 seg 12, Pkt.get_u16_le seg 14) :: !log));
   fun () -> List.rev !log
 
+let flag_syn = 1
 let flag_fin = 4
+let flag_rst = 8
+let flag_psh = 16
 
 let has_fin (flags, _) = flags land flag_fin <> 0
 
@@ -411,7 +416,7 @@ let test_tcp_send_fin_rides_last_segment () =
   let received = Buffer.create 4096 in
   Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
     Tcp.on_receive conn (Buffer.add_bytes received));
-  let payload = Bytes.make 2_100 'x' in
+  let payload = Bytes.make ((2 * Tcp.mss) + 52) 'x' in
   in_strand [ a; b ] a (fun () ->
     match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
     | None -> fail "connect failed"
@@ -424,11 +429,12 @@ let test_tcp_send_fin_rides_last_segment () =
         (Tcp.state_to_string (Tcp.state conn));
       Tcp.close a.Host.tcp conn);
   let data = List.filter (fun (_, len) -> len > 0) (tap ()) in
-  check (list int) "segment sizes" [ 1024; 1024; 52 ] (List.map snd data);
+  check (list int) "segment sizes" [ Tcp.mss; Tcp.mss; 52 ]
+    (List.map snd data);
   check (list bool) "only the last carries the FIN" [ false; false; true ]
     (List.map has_fin data);
   check int "no FIN of its own" 1 (List.length (List.filter has_fin (tap ())));
-  check int "body across" 2_100 (Buffer.length received)
+  check int "body across" (Bytes.length payload) (Buffer.length received)
 
 let test_tcp_window_fill_is_one_burst () =
   (* A 1-CPU host on the T3: the three segments of one window fill pay
@@ -436,7 +442,7 @@ let test_tcp_window_fill_is_one_burst () =
      twice. A long wire keeps every reply out of the measurement. *)
   let a, b = connected_pair ~kind:Nic.T3 ~latency_us:10_000. ~cpus:1 () in
   Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun _ -> ());
-  let sizes = [ 1024; 1024; 52 ] in
+  let sizes = [ Tcp.mss; Tcp.mss; 52 ] in
   let total = List.fold_left ( + ) 0 sizes in
   let clock = a.Host.machine.Machine.clock in
   let copy bytes = Cost.copy_cycles (Clock.cost clock) ~bytes in
@@ -465,7 +471,7 @@ let test_tcp_fin_waits_for_window () =
   let received = Buffer.create 16384 in
   Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
     Tcp.on_receive conn (Buffer.add_bytes received));
-  let payload = Bytes.init (10 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  let payload = Bytes.init (10 * Tcp.mss) (fun i -> Char.chr (i land 0xff)) in
   in_strand [ a; b ] a (fun () ->
     match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
     | None -> fail "connect failed"
@@ -509,8 +515,8 @@ let test_tcp_lost_data_fin_retransmitted () =
       Tcp.send ~fin:true a.Host.tcp conn (Bytes.of_string "request body");
       Sched.sleep_us a.Host.sched 500_000.);
   check int "one retransmit" 1 (Tcp.stats a.Host.tcp).Tcp.retransmits;
-  check (list (pair int int)) "both copies carry the data and the FIN"
-    [ (flag_fin lor 2, 12); (flag_fin lor 2, 12) ]
+  check (list (pair int int)) "both copies carry the data, the FIN and PSH"
+    [ (flag_fin lor flag_psh lor 2, 12); (flag_fin lor flag_psh lor 2, 12) ]
     (List.filter (fun (_, len) -> len > 0) (tap ()));
   check string "body once" "request body" (Buffer.contents body);
   check int "EOF once" 1 !eofs
@@ -522,7 +528,9 @@ let test_tcp_loopback_window_fills_in_order () =
   let received = Buffer.create 32768 in
   Tcp.listen a.Host.tcp ~port:80 ~on_accept:(fun conn ->
     Tcp.on_receive conn (Buffer.add_bytes received));
-  let payload = Bytes.init 20_000 (fun i -> Char.chr (i * 7 land 0xff)) in
+  (* Twenty segments: more than two windows. *)
+  let payload =
+    Bytes.init ((19 * Tcp.mss) + 544) (fun i -> Char.chr (i * 7 land 0xff)) in
   in_strand [ a ] a (fun () ->
     match Tcp.connect a.Host.tcp ~dst:addr_a ~dst_port:80 with
     | None -> fail "connect failed"
@@ -531,6 +539,152 @@ let test_tcp_loopback_window_fills_in_order () =
       Sched.sleep_us a.Host.sched 500_000.);
   check bytes "in order and intact" payload (Buffer.to_bytes received);
   check int "no retransmits" 0 (Tcp.stats a.Host.tcp).Tcp.retransmits
+
+let test_tcp_across_forwarder () =
+  (* Client on a Lance, server on ATM, the Forward extension between
+     them: every segment the server sends must fit the forwarder's
+     Lance side. *)
+  let clock = Clock.create Cost.alpha_133 in
+  let sim = Sim.create clock in
+  let client = Host.create sim ~name:"client" ~addr:addr_a in
+  let fwd = Host.create sim ~name:"fwd" ~addr:addr_c in
+  let server = Host.create sim ~name:"server" ~addr:addr_b in
+  ignore (Host.wire client fwd ~kind:Nic.Lance);
+  ignore (Host.wire fwd server ~kind:Nic.Fore_atm);
+  ignore (Forward.create ~tcp:fwd.Host.tcp fwd.Host.ip ~proto:Ip.proto_tcp
+            ~port:80 ~to_:addr_b);
+  let tap = tcp_tap client ~src:addr_c in
+  let body = Bytes.init 20_480 (fun i -> Char.chr (i * 13 land 0xff)) in
+  Tcp.listen server.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (fun _ -> Tcp.send ~fin:true server.Host.tcp conn body));
+  let got = Buffer.create 20_480 in
+  in_strand [ client; fwd; server ] client (fun () ->
+    match Tcp.connect client.Host.tcp ~dst:addr_c ~dst_port:80 with
+    | None -> fail "connect through the forwarder failed"
+    | Some conn ->
+      Tcp.send client.Host.tcp conn (Bytes.of_string "GET");
+      let rec drain () =
+        let data = Tcp.read client.Host.tcp conn in
+        if Bytes.length data > 0 then begin
+          Buffer.add_bytes got data;
+          drain ()
+        end in
+      drain ();
+      Tcp.close client.Host.tcp conn);
+  check bytes "response intact" body (Buffer.to_bytes got);
+  check bool "every segment fits the Lance" true
+    (List.for_all (fun (_, len) -> len <= Tcp.mss) (tap ()));
+  check int "server never retransmitted" 0
+    (Tcp.stats server.Host.tcp).Tcp.retransmits
+
+(* Pure ACKs (no data, no SYN, FIN or RST) in a tap's log. *)
+let pure_acks log =
+  List.length
+    (List.filter
+       (fun (flags, len) ->
+         len = 0 && flags land (flag_syn lor flag_fin lor flag_rst) = 0)
+       log)
+
+let test_tcp_one_ack_per_burst () =
+  (* Five segments leave as one burst; the receiver acks them once,
+     at the PSH on the fifth. *)
+  let a, b = connected_pair () in
+  let tap = tcp_tap a ~src:addr_b in
+  let received = Buffer.create 8192 in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (Buffer.add_bytes received));
+  let sent = 5 * Tcp.mss in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.send a.Host.tcp conn (Bytes.make sent 'x');
+      Sched.sleep_us a.Host.sched 50_000.);
+  check int "all five across" sent (Buffer.length received);
+  check int "exactly one pure ack" 1 (pure_acks (tap ()))
+
+let test_tcp_cut_burst_acked_at_its_middle () =
+  (* Ten segments: the window takes eight, so that burst carries PSH
+     on its fourth segment as well as its eighth, and the ack for the
+     first four clocks out more while the rest are on the wire. *)
+  let a, b = connected_pair () in
+  let tap = tcp_tap b ~src:addr_a in
+  let received = Buffer.create 16384 in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (Buffer.add_bytes received));
+  let payload = Bytes.init (10 * Tcp.mss) (fun i -> Char.chr (i land 0xff)) in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.send a.Host.tcp conn payload;
+      Sched.sleep_us a.Host.sched 50_000.);
+  let data = List.filter (fun (_, len) -> len > 0) (tap ()) in
+  check (list bool) "PSH on the middle and the end of the first burst"
+    [ false; false; false; true; false; false; false; true ]
+    (List.filteri (fun i _ -> i < 8)
+       (List.map (fun (flags, _) -> flags land flag_psh <> 0) data));
+  check bytes "in order and intact" payload (Buffer.to_bytes received);
+  check int "no retransmits" 0 (Tcp.stats a.Host.tcp).Tcp.retransmits
+
+let test_tcp_one_segment_request_no_ack () =
+  (* A one-segment request keeps the delayed ACK, which rides on the
+     response: the server sends no ACK of its own. *)
+  let a, b = connected_pair () in
+  let tap = tcp_tap a ~src:addr_b in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (fun _ ->
+      Tcp.send b.Host.tcp conn (Bytes.of_string "response")));
+  let got = ref "" in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.send a.Host.tcp conn (Bytes.of_string "request");
+      got := Bytes.to_string (Tcp.read a.Host.tcp conn);
+      Sched.sleep_us a.Host.sched 50_000.);
+  check string "response" "response" !got;
+  check int "no pure ack" 0 (pure_acks (tap ()))
+
+let test_tcp_lost_psh_segment_recovered () =
+  (* The server sees SYN, ACK, then five data segments; the fifth, the
+     one carrying PSH, is lost. The delayed ACK covers the first four
+     and the retransmit brings the fifth. *)
+  let a, b = connected_pair () in
+  let received = Buffer.create 8192 in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    Tcp.on_receive conn (Buffer.add_bytes received));
+  lose_nth b ~port:80 7;
+  let payload = Bytes.init (5 * Tcp.mss) (fun i -> Char.chr (i * 3 land 0xff)) in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn ->
+      Tcp.send a.Host.tcp conn payload;
+      Sched.sleep_us a.Host.sched 500_000.);
+  check bytes "in order and intact" payload (Buffer.to_bytes received);
+  check int "only the lost segment resent" 1
+    (Tcp.stats a.Host.tcp).Tcp.retransmits
+
+let test_tcp_syn_ack_retransmit_reacked () =
+  (* The client's handshake ACK is lost and the server speaks first.
+     The client is ESTABLISHED, so the server's retransmitted SYN-ACK
+     is an old segment: the client must ack it again, or the server
+     never accepts and the client's read never returns. *)
+  let a, b = connected_pair () in
+  let accepted = ref false in
+  Tcp.listen b.Host.tcp ~port:80 ~on_accept:(fun conn ->
+    accepted := true;
+    Tcp.send b.Host.tcp conn (Bytes.of_string "banner"));
+  lose_nth b ~port:80 2;
+  let got = ref "" in
+  in_strand [ a; b ] a (fun () ->
+    match Tcp.connect a.Host.tcp ~dst:addr_b ~dst_port:80 with
+    | None -> fail "connect failed"
+    | Some conn -> got := Bytes.to_string (Tcp.read a.Host.tcp conn));
+  check bool "server accepted" true !accepted;
+  check string "client read the banner" "banner" !got;
+  check int "one SYN-ACK retransmit" 1 (Tcp.stats b.Host.tcp).Tcp.retransmits
 
 (* ------------------------------------------------------------------ *)
 (* Active messages and RPC                                            *)
@@ -945,6 +1099,17 @@ let () =
           test_case "FIN waits for the window" `Quick test_tcp_fin_waits_for_window;
           test_case "lost data+FIN retransmitted" `Quick
             test_tcp_lost_data_fin_retransmitted;
+          test_case "transfer across a Lance-ATM forwarder" `Quick
+            test_tcp_across_forwarder;
+          test_case "one ack per burst" `Quick test_tcp_one_ack_per_burst;
+          test_case "cut burst acked at its middle" `Quick
+            test_tcp_cut_burst_acked_at_its_middle;
+          test_case "one-segment request draws no ack" `Quick
+            test_tcp_one_segment_request_no_ack;
+          test_case "lost PSH segment recovered" `Quick
+            test_tcp_lost_psh_segment_recovered;
+          test_case "retransmitted SYN-ACK re-acked" `Quick
+            test_tcp_syn_ack_retransmit_reacked;
           test_case "loopback window fills in order" `Quick
             test_tcp_loopback_window_fills_in_order;
         ] );
